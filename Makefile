@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race race check fuzz bench bench-baseline bench-check bench-grid bench-trajectory cover examples experiments serve cluster-smoke soak-smoke persist-smoke clean
+.PHONY: all build vet test test-race race check bench-smoke fuzz bench bench-baseline bench-check bench-grid bench-trajectory cover examples experiments serve cluster-smoke soak-smoke persist-smoke clean
 
 all: build vet test
 
@@ -21,8 +21,15 @@ test-race:
 race:
 	$(GO) test -race ./...
 
-# check is the full pre-merge gate: compile, static analysis, tests, races.
-check: build vet test race
+# check is the full pre-merge gate: compile, static analysis, tests, races,
+# and the end-to-end benchmark's own tests.
+check: build vet test race bench-smoke
+
+# bench-smoke compiles and tests benchmarks/wrtbench. It is a Go module of its
+# own, so the root build and test never see it, yet it calls the serve,
+# cluster, store and runner APIs; -short skips its traced smoke runs.
+bench-smoke:
+	cd benchmarks/wrtbench && GOWORK=off $(GO) test -short ./...
 
 # fuzz runs each JSON-decoder fuzz target for FUZZTIME (go requires one
 # -fuzz pattern per invocation). New inputs that trip a failure are written

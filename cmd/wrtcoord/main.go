@@ -62,7 +62,7 @@ func main() {
 	maxPerWorker := flag.Int("max-per-worker", 32, "outstanding-job bound per worker shard")
 	maxInflight := flag.Int("max-inflight", 4, "concurrent dispatches per worker")
 	replicas := flag.Int("replicas", cluster.DefaultReplicas, "virtual nodes per worker on the hash ring")
-	poll := flag.Duration("poll", 20*time.Millisecond, "job-completion poll interval")
+	poll := flag.Duration("poll", 20*time.Millisecond, "pause before asking a worker again when a held status read expires with the job still running")
 	health := flag.Duration("health", time.Second, "health-probe interval")
 	reqTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request timeout to workers")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for outstanding jobs")
@@ -102,6 +102,8 @@ func main() {
 		Handler:           coord.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	// Shutdown waits for active requests: answer held status reads at once.
+	httpSrv.RegisterOnShutdown(coord.ReleaseWaits)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -17,6 +17,7 @@
 //	curl -s localhost:8080/healthz
 //	curl -s -X POST localhost:8080/v1/runs -d '{"scenarios":[{"N":10,"Seed":1}]}'
 //	curl -s localhost:8080/v1/runs/<id>
+//	curl -s 'localhost:8080/v1/runs/<id>?wait=10s'   # held until the run finishes
 //	curl -s localhost:8080/metrics
 //
 // SIGINT/SIGTERM trigger graceful shutdown: the listener stops accepting,
@@ -81,6 +82,8 @@ func main() {
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	// Shutdown waits for active requests: answer held status reads at once.
+	httpSrv.RegisterOnShutdown(srv.ReleaseWaits)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

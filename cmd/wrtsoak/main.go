@@ -46,7 +46,7 @@ func main() {
 	n := flag.Int("n", 8, "stations per scenario")
 	slots := flag.Int64("slots", 2_000, "simulated slots per scenario (controls per-run cost)")
 	batchPoints := flag.Uint64("batch-points", 8, "seeds per grid in -mode batch")
-	poll := flag.Duration("poll", 5*time.Millisecond, "completion poll interval in -mode single")
+	poll := flag.Duration("poll", 5*time.Millisecond, "pause before asking again when a held status read answers with the run unfinished, in -mode single")
 	seed := flag.Int64("rand-seed", 1, "RNG seed for the hit/miss coin (the workload itself stays deterministic)")
 	jsonPath := flag.String("json", "", "also write the summary as JSON to this file")
 	flag.Parse()
@@ -198,7 +198,7 @@ func (s *soak) record(h *stats.Histogram, d time.Duration) {
 }
 
 // oneSingle is one closed-loop operation in -mode single: submit one
-// scenario through the shared bounded-retry policy, then poll to a terminal
+// scenario through the shared bounded-retry policy, then wait for a terminal
 // state. Submit latency covers the (possibly retried) admission; e2e covers
 // submit through done.
 func (s *soak) oneSingle(ctx context.Context, rng *rand.Rand) {

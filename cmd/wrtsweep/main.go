@@ -160,7 +160,8 @@ func main() {
 // runRemote executes the sweep against a scenario service — a single
 // wrtserved or a wrtcoord cluster, which speak the same /v1/runs protocol.
 // Points are submitted as one batch (rejected items are retried after the
-// service's backpressure hint), then polled to completion in input order.
+// service's backpressure hint), then awaited in input order with held
+// status reads.
 // Determinism makes the remote results byte-identical to local execution,
 // so the CSV is the same either way — repeated grids just stop costing
 // simulation time once the service's cache holds them.

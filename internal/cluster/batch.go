@@ -11,20 +11,30 @@ import (
 
 // The coordinator as a batch backend: serve.Batches drives the same Submit
 // path as POST /v1/runs (cache-affine dispatch, coalescing, saturation
-// backpressure), reads shard completion from the coordinator's job table,
-// and proxies result bytes from the owner worker's cache shard. Batch
-// shards therefore compose the per-worker caches into one cluster cache
-// exactly like single-run traffic does — a grid resubmitted to the cluster
-// is answered without running a single new simulation.
+// backpressure), waits on each shard's terminal signal in the coordinator's
+// job table, and proxies result bytes from the owner worker's cache shard.
+// Batch shards therefore compose the per-worker caches into one cluster
+// cache exactly like single-run traffic does — a grid resubmitted to the
+// cluster is answered without running a single new simulation.
 
-// JobStatus reports one job's state for the batch tracker; ok is false when
-// the record aged out of the finished FIFO.
-func (c *Coordinator) JobStatus(id string) (serve.JobStatus, bool) {
+// Await blocks until job id is terminal or ctx ends, then reports its
+// state; ok is false when the record aged out of the finished FIFO. The
+// state is read from the record the wait began on, so a later re-admission
+// of the same spec does not answer for this job.
+func (c *Coordinator) Await(ctx context.Context, id string) (serve.JobStatus, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	j, ok := c.jobs[id]
 	if !ok {
 		return serve.JobStatus{}, false
+	}
+	if !j.state.Terminal() {
+		c.mu.Unlock()
+		select {
+		case <-j.done:
+		case <-ctx.Done():
+		}
+		c.mu.Lock()
 	}
 	return serve.JobStatus{
 		ID: id, State: j.state, Cached: j.remoteCached,

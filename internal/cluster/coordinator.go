@@ -38,14 +38,18 @@ type Config struct {
 	MaxInflight int
 	// Replicas is the virtual-node count per worker (<= 0: DefaultReplicas).
 	Replicas int
-	// PollInterval paces job-completion polling (<= 0: 20 ms).
+	// PollInterval is the pause before the dispatcher asks a worker again
+	// when a held status read (GET /v1/runs/{id}?wait=) came back with the
+	// job still running — its wait expired, or the worker is shutting down
+	// (<= 0: 20 ms). Completion itself is pushed, not polled.
 	PollInterval time.Duration
 	// HealthInterval paces liveness probing (<= 0: 1 s).
 	HealthInterval time.Duration
 	// ProbeBackoffMax caps the ejected-worker readmission backoff, which
 	// doubles from HealthInterval per consecutive failure (<= 0: 30 s).
 	ProbeBackoffMax time.Duration
-	// RequestTimeout bounds each worker HTTP call (<= 0: 10 s).
+	// RequestTimeout bounds each worker HTTP call (<= 0: 10 s). A held
+	// status read asks the worker to wait half of it.
 	RequestTimeout time.Duration
 	// MaxAttempts bounds dispatch attempts per job before it fails
 	// (<= 0: 3 × worker count).
@@ -56,13 +60,15 @@ type Config struct {
 	RetryAfter   time.Duration
 	// MaxBatchPoints / MaxBatches / BatchPollInterval size the /v1/batches
 	// subsystem; they mirror serve.Config (<= 0: serve defaults).
+	// BatchPollInterval paces the feeder's retry of a shard whose worker is
+	// saturated.
 	MaxBatchPoints    int64
 	MaxBatches        int
 	BatchPollInterval time.Duration
 	// HTTPTimeout bounds each inbound API request end to end
 	// (<= 0: httpx.DefaultRequestTimeout); distinct from RequestTimeout,
 	// which bounds the coordinator's own calls to workers. Debug endpoints
-	// are exempt.
+	// are exempt. A held status read (?wait=) waits at most half of it.
 	HTTPTimeout time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/
 	// (cmd/wrtcoord -pprof).
@@ -102,9 +108,12 @@ var (
 // Coordinator.mu; scenario is immutable between admission and terminal
 // transition (where it is released).
 type clusterJob struct {
-	id           string
-	scenario     wrtring.Scenario
-	state        serve.State
+	id       string
+	scenario wrtring.Scenario
+	state    serve.State
+	// done is closed exactly once, by terminalLocked: held status reads,
+	// batch shards and Drain wait on it instead of polling.
+	done         chan struct{}
 	workerID     string
 	attempts     int
 	coalesced    int64
@@ -153,7 +162,7 @@ type ClusterStats struct {
 	Admitted, Completed, Failed, Dropped int64
 	Rejected, Coalesced                  int64
 	// Redispatched counts job moves to another worker after a dispatch,
-	// poll or health failure.
+	// status-read or health failure.
 	Redispatched int64
 	// RemoteCacheHits counts dispatches a worker answered from its shard of
 	// the cluster cache without running anything.
@@ -244,7 +253,7 @@ func New(cfg Config) (*Coordinator, error) {
 			cancel()
 			return nil, fmt.Errorf("cluster: duplicate worker ID %q", spec.ID)
 		}
-		w := newWorker(spec, c.chanCap, cfg.RequestTimeout)
+		w := newWorker(spec, c.chanCap, cfg.RequestTimeout, cfg.MaxInflight)
 		c.workers[spec.ID] = w
 		c.order = append(c.order, w)
 		ids = append(ids, spec.ID)
@@ -296,7 +305,7 @@ func (c *Coordinator) AddWorker(spec WorkerSpec) error {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: duplicate worker ID %q", spec.ID)
 	}
-	w := newWorker(spec, c.chanCap, c.cfg.RequestTimeout)
+	w := newWorker(spec, c.chanCap, c.cfg.RequestTimeout, c.cfg.MaxInflight)
 	c.workers[spec.ID] = w
 	c.order = append(c.order, w)
 	ids := make([]string, 0, len(c.order))
@@ -372,7 +381,7 @@ func (c *Coordinator) Submit(s wrtring.Scenario) (id, outcome string, err error)
 		c.rejected++
 		return id, "", ErrSaturated
 	}
-	j := &clusterJob{id: id, scenario: s, state: serve.StateQueued, workerID: owner.id}
+	j := &clusterJob{id: id, scenario: s, state: serve.StateQueued, workerID: owner.id, done: make(chan struct{})}
 	c.jobs[id] = j
 	c.admitted++
 	owner.addDepth()
@@ -436,6 +445,12 @@ func (c *Coordinator) Stats() ClusterStats {
 	return st
 }
 
+// ReleaseWaits answers every held status read now, with the job's current
+// status, and every later one at once. Register it with
+// http.Server.RegisterOnShutdown (cmd/wrtcoord does): Shutdown waits for
+// active requests, so an open ?wait= would otherwise delay exit.
+func (c *Coordinator) ReleaseWaits() { c.surface.Release() }
+
 // Drain gracefully shuts the coordinator down: admission stops immediately
 // (Submit returns ErrDraining), outstanding jobs get up to timeout to reach
 // a terminal state on their workers, then the dispatchers are cancelled and
@@ -445,34 +460,40 @@ func (c *Coordinator) Drain(timeout time.Duration) serve.DrainReport {
 	c.mu.Lock()
 	c.draining = true
 	before := ClusterStats{Completed: c.completed, Failed: c.failed, Dropped: c.dropped}
+	// Admission is closed, so this is every job the deadline can cover; a
+	// redispatch keeps its record and therefore its signal.
+	var outstanding []chan struct{}
+	for _, j := range c.jobs {
+		if !j.state.Terminal() {
+			outstanding = append(outstanding, j.done)
+		}
+	}
 	c.mu.Unlock()
 
-	deadline := time.Now().Add(timeout)
-	deadlineExceeded := true
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		outstanding := c.admitted - c.completed - c.failed - c.dropped
-		c.mu.Unlock()
-		if outstanding == 0 {
-			deadlineExceeded = false
-			break
+	deadline := time.NewTimer(timeout)
+	deadlineExceeded := false
+wait:
+	for _, done := range outstanding {
+		select {
+		case <-done:
+		case <-deadline.C:
+			deadlineExceeded = true
+			break wait
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	deadline.Stop()
 	c.cancel()
 	c.wg.Wait()
+	for _, w := range c.fleet() {
+		w.client.HTTP.CloseIdleConnections()
+	}
 
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	// Dispatchers are gone; anything non-terminal (still sitting in a job
-	// channel, or abandoned mid-poll by the cancel) is dropped work.
+	// channel, or abandoned mid-wait by the cancel) is dropped work.
 	for _, j := range c.jobs {
-		if j.state == serve.StateQueued || j.state == serve.StateRunning {
-			j.state = serve.StateDropped
-			j.errMsg = "dropped: coordinator shut down before the job finished"
-			j.scenario = wrtring.Scenario{}
-			c.dropped++
-			c.retireLocked(j.id)
+		if !j.state.Terminal() {
+			c.terminalLocked(j, serve.StateDropped, "dropped: coordinator shut down before the job finished")
 		}
 	}
 	report := serve.DrainReport{
@@ -482,10 +503,9 @@ func (c *Coordinator) Drain(timeout time.Duration) serve.DrainReport {
 		DeadlineExceeded: deadlineExceeded,
 	}
 	c.mu.Unlock()
-	// Every job is terminal now, so the batch trackers settle their shard
-	// accounting (conservation per batch) and exit; unfed shards were
-	// rejected the moment admission saw ErrDraining.
+	// Every job is terminal now, so every batch shard waiter settles its
+	// shard's accounting (conservation per batch) and returns; unfed shards
+	// were rejected the moment admission saw ErrDraining.
 	c.batches.Drain(timeout)
-	c.mu.Lock()
 	return report
 }

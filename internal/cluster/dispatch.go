@@ -21,9 +21,9 @@ const saturationRetries = 8
 
 // runWorker is one dispatcher goroutine bound to a worker: it pulls jobs
 // from the worker's channel and drives each to a terminal state — dispatch,
-// poll, and on any worker failure redispatch to the hash ring's next live
-// owner. A dead worker's dispatchers keep running precisely so its queued
-// jobs drain into redispatches.
+// a held status read, and on any worker failure redispatch to the hash
+// ring's next live owner. A dead worker's dispatchers keep running
+// precisely so its queued jobs drain into redispatches.
 func (c *Coordinator) runWorker(w *worker) {
 	defer c.wg.Done()
 	for {
@@ -89,12 +89,10 @@ submit:
 	switch run.Status {
 	case serve.SubmitQueued, serve.SubmitCoalesced:
 	case serve.SubmitCached:
-		// The worker's cache shard already holds this result: the whole point
-		// of cache-affine routing.
-		c.mu.Lock()
-		c.remoteCacheHits++
-		j.remoteCached = true
-		c.mu.Unlock()
+		// The worker's cache shard already holds this result — the whole
+		// point of cache-affine routing — so there is nothing to wait for.
+		c.finishJob(j, w, time.Since(start), true)
+		return
 	case "rejected":
 		// The worker's own queue is full (it may serve direct clients too).
 		// Honour its backpressure hint a few times, then fail over.
@@ -112,12 +110,12 @@ submit:
 		return
 	}
 
-	// Poll the worker until the job is terminal.
+	// One status read, held on the worker until the job is terminal. The
+	// hold asks for half the call timeout so the worker answers first; a
+	// non-terminal answer means that wait expired (or the worker is shutting
+	// down), and only then does the dispatcher pause and ask again.
 	for {
-		if !c.sleep(c.cfg.PollInterval) {
-			return
-		}
-		code, st, err := w.client.Status(c.ctx, j.id)
+		code, st, err := w.client.StatusWait(c.ctx, j.id, c.cfg.RequestTimeout/2)
 		switch {
 		case err != nil:
 			if c.ctx.Err() != nil {
@@ -125,21 +123,21 @@ submit:
 				// see the submit path above.
 				return
 			}
-			c.ejectWorker(w, "status poll failed: %v", err)
-			c.moveJob(j, w, "status poll failed")
+			c.ejectWorker(w, "status read failed: %v", err)
+			c.moveJob(j, w, "status read failed")
 			return
 		case code == http.StatusNotFound:
 			// The record vanished — worker restart lost its memory. Re-run.
 			c.moveJob(j, w, "worker lost the job record")
 			return
 		case code != http.StatusOK:
-			c.ejectWorker(w, "status poll answered HTTP %d", code)
-			c.moveJob(j, w, "status poll failed")
+			c.ejectWorker(w, "status read answered HTTP %d", code)
+			c.moveJob(j, w, "status read failed")
 			return
 		}
 		switch st.Status {
 		case serve.StateDone.String():
-			c.finishJob(j, w, serve.StateDone, "", time.Since(start))
+			c.finishJob(j, w, time.Since(start), false)
 			return
 		case serve.StateFailed.String():
 			// A deterministic failure: re-running elsewhere reproduces it.
@@ -148,6 +146,9 @@ submit:
 		case serve.StateDropped.String():
 			// The worker drained mid-job; the work itself is still viable.
 			c.moveJob(j, w, "worker dropped the job while draining")
+			return
+		}
+		if !c.sleep(c.cfg.PollInterval) {
 			return
 		}
 	}
@@ -220,11 +221,16 @@ func (c *Coordinator) moveJob(j *clusterJob, from *worker, reason string) {
 		shortID(j.id), from.id, target.id, reason, j.attempts)
 }
 
-// finishJob retires a successfully completed job.
-func (c *Coordinator) finishJob(j *clusterJob, w *worker, state serve.State, errMsg string, elapsed time.Duration) {
+// finishJob retires a successfully completed job; remoteCached marks one
+// the worker answered from its cache shard at submit.
+func (c *Coordinator) finishJob(j *clusterJob, w *worker, elapsed time.Duration, remoteCached bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w.dropDepth()
+	if remoteCached {
+		c.remoteCacheHits++
+		j.remoteCached = true
+	}
 	j.elapsed = elapsed
 	h, ok := c.latency[w.id]
 	if !ok {
@@ -232,7 +238,7 @@ func (c *Coordinator) finishJob(j *clusterJob, w *worker, state serve.State, err
 		c.latency[w.id] = h
 	}
 	h.Add(elapsed.Milliseconds())
-	c.terminalLocked(j, state, errMsg)
+	c.terminalLocked(j, serve.StateDone, "")
 }
 
 // failJob retires a job that cannot succeed (invalid spec, deterministic
@@ -245,11 +251,12 @@ func (c *Coordinator) failJob(j *clusterJob, w *worker, errMsg string, elapsed t
 	c.terminalLocked(j, serve.StateFailed, errMsg)
 }
 
-// terminalLocked moves a job to a terminal state under c.mu and updates the
-// conservation counters. The scenario payload is released; workerID is kept
-// so the status path knows which cache shard holds the result bytes.
+// terminalLocked moves a job to a terminal state under c.mu, updates the
+// conservation counters and fires the job's done signal. The scenario
+// payload is released; workerID is kept so the status path knows which
+// cache shard holds the result bytes.
 func (c *Coordinator) terminalLocked(j *clusterJob, state serve.State, errMsg string) {
-	if j.state == serve.StateDone || j.state == serve.StateFailed || j.state == serve.StateDropped {
+	if j.state.Terminal() {
 		return
 	}
 	j.state = state
@@ -263,6 +270,7 @@ func (c *Coordinator) terminalLocked(j *clusterJob, state serve.State, errMsg st
 	case serve.StateDropped:
 		c.dropped++
 	}
+	close(j.done)
 	c.retireLocked(j.id)
 }
 

@@ -45,6 +45,23 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 			"unknown run ID (never submitted, or its record aged out; resubmit the scenario)")
 		return
 	}
+	if !j.state.Terminal() && r.URL.RawQuery != "" {
+		// A held read: answer once the job is terminal, or with its state
+		// when the wait runs out first. The record, not the ID, is read
+		// afterwards, so it answers even if the record has aged out.
+		c.mu.Unlock()
+		ctx, cancel, err := serve.HoldContext(c.surface, r)
+		if err != nil {
+			httpx.Error(w, r, http.StatusBadRequest, err.Error())
+			return
+		}
+		select {
+		case <-j.done:
+		case <-ctx.Done():
+		}
+		cancel()
+		c.mu.Lock()
+	}
 	state := j.state
 	workerID := j.workerID
 	snapshot := serve.StatusResponse{

@@ -39,9 +39,17 @@ type worker struct {
 	nextProbeAt time.Time
 }
 
-func newWorker(spec WorkerSpec, chanCap int, timeout time.Duration) *worker {
+// newWorker builds the handle. Each worker gets its own transport whose idle
+// pool keeps a connection for each of its maxInflight dispatchers — every
+// one may hold a status read open for a whole job — and as many again for
+// result proxies, health probes and rebalance reads. The shared default
+// transport keeps two per host, so the rest would be closed and redialled
+// on every call.
+func newWorker(spec WorkerSpec, chanCap int, timeout time.Duration, maxInflight int) *worker {
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConnsPerHost = 2 * maxInflight
 	client := serve.NewClient(spec.URL)
-	client.HTTP = &http.Client{Timeout: timeout}
+	client.HTTP = &http.Client{Transport: transport, Timeout: timeout}
 	w := &worker{
 		id:     spec.ID,
 		url:    spec.URL,

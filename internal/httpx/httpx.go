@@ -79,6 +79,11 @@ type Surface struct {
 	// per-route stack after NewSurface has built the shared ones.
 	maxBody int64
 	logf    func(format string, args ...any)
+	// maxHold bounds a held request's wait (see Hold); released ends every
+	// hold once Release is called.
+	maxHold  time.Duration
+	released context.Context
+	release  context.CancelFunc
 }
 
 // NewSurface builds the composed surface. Register API routes on Mux(),
@@ -100,7 +105,9 @@ func NewSurface(cfg Config) *Surface {
 		ring:    NewRing(cfg.LogEntries),
 		maxBody: cfg.MaxBodyBytes,
 		logf:    logf,
+		maxHold: cfg.RequestTimeout / 2,
 	}
+	s.released, s.release = context.WithCancel(context.Background())
 
 	debugMux := http.NewServeMux()
 	debugMux.Handle("GET /debug/log", s.ring)
@@ -141,6 +148,22 @@ func (s *Surface) Mux() *http.ServeMux { return s.api }
 func (s *Surface) HandleStream(pattern string, h http.Handler) {
 	s.root.Handle(pattern, s.wrapOuter(bodyLimit(s.maxBody, h), s.logf))
 }
+
+// Hold returns the context a handler parks its request under while it
+// waits for work to finish: the request's own, ended after d or by Release.
+// d is clamped to half the request timeout, so the handler's answer always
+// beats the timeout stage's 503. Call cancel once the wait is over.
+func (s *Surface) Hold(r *http.Request, d time.Duration) (ctx context.Context, cancel context.CancelFunc) {
+	ctx, cancelWait := context.WithTimeout(r.Context(), min(d, s.maxHold))
+	stop := context.AfterFunc(s.released, cancelWait)
+	return ctx, func() { stop(); cancelWait() }
+}
+
+// Release ends every held wait now and every later one at once, so each is
+// answered with whatever its handler has at that moment. Register it with
+// http.Server.RegisterOnShutdown: Shutdown waits for active requests, so an
+// open hold would otherwise delay exit by up to its wait.
+func (s *Surface) Release() { s.release() }
 
 // Handler is the fully composed stack, ready for http.Server or httptest.
 func (s *Surface) Handler() http.Handler { return s.handler }

@@ -31,9 +31,10 @@ type BatchBackend interface {
 	// Submit admits one scenario and reports the content-addressed job ID
 	// plus the outcome (SubmitQueued, SubmitCached or SubmitCoalesced).
 	Submit(s wrtring.Scenario) (id, outcome string, err error)
-	// JobStatus reports a job's current state; ok is false when the ID is
-	// entirely unknown (record aged out and result evicted).
-	JobStatus(id string) (JobStatus, bool)
+	// Await blocks until the job is terminal or ctx ends, then reports its
+	// state; ok is false when the ID is entirely unknown (record aged out
+	// and result evicted).
+	Await(ctx context.Context, id string) (JobStatus, bool)
 	// JobResult fetches the encoded result bytes of a done job.
 	JobResult(ctx context.Context, id string) (json.RawMessage, error)
 }
@@ -42,7 +43,9 @@ type BatchBackend interface {
 type queueBackend struct{ q *Queue }
 
 func (b queueBackend) Submit(s wrtring.Scenario) (string, string, error) { return b.q.Submit(s) }
-func (b queueBackend) JobStatus(id string) (JobStatus, bool)             { return b.q.Status(id) }
+func (b queueBackend) Await(ctx context.Context, id string) (JobStatus, bool) {
+	return b.q.Await(ctx, id)
+}
 func (b queueBackend) JobResult(_ context.Context, id string) (json.RawMessage, error) {
 	if data, ok := b.q.Result(id); ok {
 		return json.RawMessage(data), nil
@@ -75,8 +78,9 @@ type BatchOptions struct {
 	// MaxBatches bounds retained batches, running + finished
 	// (<= 0: DefaultMaxBatches). Finished batches age out FIFO past it.
 	MaxBatches int
-	// PollInterval paces shard-completion polling and the feeder's
-	// backpressure retry (<= 0: DefaultBatchPoll).
+	// PollInterval paces the feeder's retry of a shard the engine turned
+	// away with a Retryable error (<= 0: DefaultBatchPoll). Shard completion
+	// is not polled: each admitted shard waits on its job's terminal signal.
 	PollInterval time.Duration
 	// Retryable classifies admission errors worth retrying (queue or shard
 	// full); the feeder backs off PollInterval and resubmits the shard.
@@ -162,6 +166,8 @@ type Batch struct {
 	shards    []batchShard
 	doneOrder []int64 // shard indices in terminal order — the stream replay log
 	elapsed   time.Duration
+	// waiters maps an in-flight job ID to the waiter retiring its shards.
+	waiters map[string]*shardWaiter
 
 	admitted  int64 // shards accepted by the backend (queued + coalesced)
 	cacheHits int64 // shards answered from the cache at submit time
@@ -176,8 +182,8 @@ type Batch struct {
 // ID returns the batch's identifier.
 func (b *Batch) ID() string { return b.id }
 
-// Create expands (lazily) and admits one grid, starting its feeder and
-// tracker. The grid must already be validated (ParseGrid does).
+// Create expands (lazily) and admits one grid, starting its feeder. The
+// grid must already be validated (ParseGrid does).
 func (bs *Batches) Create(g sweep.Grid) (*Batch, error) {
 	total := g.Size()
 	if total > bs.opts.MaxPoints {
@@ -196,14 +202,15 @@ func (bs *Batches) Create(g sweep.Grid) (*Batch, error) {
 	bs.created++
 	ctx, cancel := context.WithCancel(context.Background())
 	b := &Batch{
-		id:     fmt.Sprintf("b-%d", bs.seq),
-		grid:   g,
-		total:  total,
-		start:  time.Now(),
-		ctx:    ctx,
-		cancel: cancel,
-		wake:   make(chan struct{}),
-		shards: make([]batchShard, total),
+		id:      fmt.Sprintf("b-%d", bs.seq),
+		grid:    g,
+		total:   total,
+		start:   time.Now(),
+		ctx:     ctx,
+		cancel:  cancel,
+		wake:    make(chan struct{}),
+		shards:  make([]batchShard, total),
+		waiters: make(map[string]*shardWaiter),
 	}
 	for i := range b.shards {
 		b.shards[i].status = shardPending
@@ -212,9 +219,8 @@ func (bs *Batches) Create(g sweep.Grid) (*Batch, error) {
 	bs.order = append(bs.order, b.id)
 	bs.mu.Unlock()
 
-	bs.wg.Add(2)
+	bs.wg.Add(1)
 	go bs.feed(b)
-	go bs.track(b)
 	return b, nil
 }
 
@@ -264,10 +270,10 @@ func (bs *Batches) Cancel(id string) bool {
 }
 
 // Drain stops batch creation, cancels every feeder and waits (up to
-// timeout) for the trackers to retire their in-flight shards. Call it AFTER
-// the execution engine's own Drain: once every job is terminal, the
-// trackers are guaranteed to exit, preserving the per-batch conservation
-// law expanded = completed + failed + dropped + rejected.
+// timeout) for the admitted shards to retire. Call it AFTER the execution
+// engine's own Drain: once every job is terminal, every shard waiter
+// returns, preserving the per-batch conservation law
+// expanded = completed + failed + dropped + rejected.
 func (bs *Batches) Drain(timeout time.Duration) bool {
 	bs.mu.Lock()
 	bs.draining = true
@@ -353,23 +359,31 @@ func (bs *Batches) feedOne(b *Batch, i int64, s wrtring.Scenario) error {
 		case err == nil:
 			b.mu.Lock()
 			b.shards[i].jobID = id
-			switch outcome {
-			case SubmitCached:
+			if outcome == SubmitCached {
 				b.cacheHits++
-				b.completed++
-				b.shards[i].status = ShardCompleted
-				b.shards[i].cacheHit = true
-				b.doneOrder = append(b.doneOrder, i)
-				b.wakeLocked()
-			case SubmitCoalesced:
-				b.coalesced++
-				b.admitted++
-				b.shards[i].status = shardQueued
-			default: // SubmitQueued
-				b.admitted++
-				b.shards[i].status = shardQueued
+				b.retireLocked(i, ShardCompleted, "", true)
+				b.mu.Unlock()
+				return nil
 			}
+			b.admitted++
+			b.shards[i].status = shardQueued
+			if outcome == SubmitCoalesced {
+				b.coalesced++
+				// A point this grid repeats coalesces onto the job an
+				// earlier shard already waits on: it joins that waiter, so
+				// waiters stay bounded by the engine's in-flight jobs.
+				if w, ok := b.waiters[id]; ok {
+					w.shards = append(w.shards, i)
+					b.mu.Unlock()
+					return nil
+				}
+			}
+			w := &shardWaiter{shards: []int64{i}}
+			b.waiters[id] = w
 			b.mu.Unlock()
+			// The feeder holds a wg count, so this Add cannot race Drain's Wait.
+			bs.wg.Add(1)
+			go bs.await(b, id, w)
 			return nil
 		case bs.opts.Fatal(err):
 			return err
@@ -388,44 +402,35 @@ func (bs *Batches) feedOne(b *Batch, i int64, s wrtring.Scenario) error {
 	}
 }
 
-// track polls admitted shards to their terminal states. It outlives
-// cancellation on purpose: admitted work runs regardless, and the status
-// endpoint keeps reporting partial results while it drains. Exit is
-// guaranteed because every admitted job reaches a terminal state — the
-// engine's Drain marks survivors dropped, and a job whose record vanished
-// entirely is accounted failed here.
-func (bs *Batches) track(b *Batch) {
+// shardWaiter lists the shards of one batch that wait on one job.
+type shardWaiter struct{ shards []int64 }
+
+// await retires a waiter's shards when their job's terminal signal fires,
+// so tracking costs one wakeup per completion. It outlives cancellation on
+// purpose: admitted work runs regardless, and the status endpoint keeps
+// reporting partial results while it drains. Return is guaranteed because
+// every admitted job reaches a terminal state — the engine's Drain marks
+// survivors dropped — and a job whose record vanished entirely is
+// accounted failed here.
+func (bs *Batches) await(b *Batch, id string, w *shardWaiter) {
 	defer bs.wg.Done()
-	for {
-		for i := int64(0); i < b.total; i++ {
-			b.mu.Lock()
-			sh := b.shards[i]
-			b.mu.Unlock()
-			if sh.status != shardQueued {
-				continue
-			}
-			st, ok := bs.opts.Backend.JobStatus(sh.jobID)
-			switch {
-			case !ok:
-				b.retire(i, ShardFailed, "job record lost (evicted before completion was observed); resubmit the batch")
-			case st.State == StateDone:
-				b.retireDone(i, st.Cached)
-			case st.State == StateFailed:
-				b.retire(i, ShardFailed, st.Err)
-			case st.State == StateDropped:
-				b.retire(i, ShardDropped, st.Err)
-			}
-		}
-		b.mu.Lock()
-		done := b.finishedLocked()
-		if done {
-			b.elapsed = time.Since(b.start)
-		}
-		b.mu.Unlock()
-		if done {
-			return
-		}
-		time.Sleep(bs.opts.PollInterval)
+	st, ok := bs.opts.Backend.Await(context.Background(), id)
+	status, errMsg := ShardDropped, st.Err
+	switch {
+	case !ok:
+		status, errMsg = ShardFailed, "job record lost (evicted before completion was observed); resubmit the batch"
+	case st.State == StateDone:
+		status = ShardCompleted
+	case st.State == StateFailed:
+		status = ShardFailed
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.waiters[id] == w {
+		delete(b.waiters, id)
+	}
+	for _, i := range w.shards {
+		b.retireLocked(i, status, errMsg, st.Cached)
 	}
 }
 
@@ -433,11 +438,20 @@ func (bs *Batches) track(b *Batch) {
 func (b *Batch) retire(i int64, status, errMsg string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.retireLocked(i, status, errMsg, false)
+}
+
+// retireLocked is retire under b.mu. cacheHit marks a completed shard the
+// engine answered from a cache (at submit, or a coalesced-onto-cached or
+// remote-cache case after admission). The last shard to retire stamps the
+// batch's elapsed time.
+func (b *Batch) retireLocked(i int64, status, errMsg string, cacheHit bool) {
 	if terminalShard(b.shards[i].status) {
 		return
 	}
 	b.shards[i].status = status
 	b.shards[i].errMsg = errMsg
+	b.shards[i].cacheHit = b.shards[i].cacheHit || cacheHit
 	switch status {
 	case ShardCompleted:
 		b.completed++
@@ -449,21 +463,9 @@ func (b *Batch) retire(i int64, status, errMsg string) {
 		b.rejected++
 	}
 	b.doneOrder = append(b.doneOrder, i)
-	b.wakeLocked()
-}
-
-// retireDone completes a shard, marking whether the engine answered it from
-// cache after admission (a coalesced-onto-cached or remote-cache case).
-func (b *Batch) retireDone(i int64, cached bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if terminalShard(b.shards[i].status) {
-		return
+	if b.finishedLocked() {
+		b.elapsed = time.Since(b.start)
 	}
-	b.shards[i].status = ShardCompleted
-	b.shards[i].cacheHit = b.shards[i].cacheHit || cached
-	b.completed++
-	b.doneOrder = append(b.doneOrder, i)
 	b.wakeLocked()
 }
 

@@ -84,7 +84,18 @@ func (c *Client) SubmitScenarios(ctx context.Context, scenarios []wrtring.Scenar
 // Status GETs one run's status. 404 (unknown or evicted ID) is reported via
 // the status code, not err.
 func (c *Client) Status(ctx context.Context, id string) (int, *StatusResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/runs/"+id, nil)
+	return c.getStatus(ctx, c.BaseURL+"/v1/runs/"+id)
+}
+
+// StatusWait is Status held on the server (GET /v1/runs/{id}?wait=) until
+// the run is terminal or wait passes; the server clamps wait to half its
+// request timeout. A non-terminal answer means the wait ran out first.
+func (c *Client) StatusWait(ctx context.Context, id string, wait time.Duration) (int, *StatusResponse, error) {
+	return c.getStatus(ctx, c.BaseURL+"/v1/runs/"+id+"?wait="+wait.String())
+}
+
+func (c *Client) getStatus(ctx context.Context, url string) (int, *StatusResponse, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -100,15 +111,27 @@ func (c *Client) Status(ctx context.Context, id string) (int, *StatusResponse, e
 	return resp.StatusCode, &out, nil
 }
 
-// Wait polls a run until it reaches a terminal state (done, failed or
-// dropped) and returns the final status body. A 404 mid-poll is an error:
-// the record vanished (server restart, eviction) and will not reappear.
+// maxHold caps the wait Wait asks a server to hold one status read for.
+const maxHold = time.Minute
+
+// Wait blocks until a run reaches a terminal state (done, failed or
+// dropped) and returns the final status body. Each status read is held on
+// the server until the run finishes (StatusWait), asking for half the
+// client's own timeout so the answer beats it. Only when a server answers
+// with a non-terminal status — its wait ran out, it is shutting down, or it
+// does not hold reads — does Wait pause for poll before asking again. A
+// 404 is an error: the record vanished (server restart, eviction) and will
+// not reappear.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (*StatusResponse, error) {
 	if poll <= 0 {
 		poll = 10 * time.Millisecond
 	}
+	wait := maxHold
+	if t := c.HTTP.Timeout; t > 0 {
+		wait = min(wait, t/2)
+	}
 	for {
-		code, st, err := c.Status(ctx, id)
+		code, st, err := c.StatusWait(ctx, id, wait)
 		if err != nil {
 			return nil, err
 		}

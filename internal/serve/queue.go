@@ -28,6 +28,9 @@ const (
 	StateDropped
 )
 
+// Terminal reports whether the state is final: done, failed or dropped.
+func (s State) Terminal() bool { return s >= StateDone }
+
 func (s State) String() string {
 	switch s {
 	case StateQueued:
@@ -73,6 +76,9 @@ type jobRecord struct {
 	scenario wrtring.Scenario
 	state    State
 	errMsg   string
+	// done is closed exactly once, by terminal: the push signal held status
+	// reads and batch shards wait on instead of polling.
+	done chan struct{}
 	// journal is the run's trace recorder when the scenario enables Trace;
 	// it is written by the simulation goroutine and read concurrently by
 	// the HTTP status path (trace.Recorder is internally locked). It is a
@@ -239,7 +245,7 @@ func (q *Queue) Submit(s wrtring.Scenario) (id, outcome string, err error) {
 		q.rejected++
 		return id, "", ErrQueueFull
 	}
-	j := &jobRecord{id: id, scenario: s, state: StateQueued}
+	j := &jobRecord{id: id, scenario: s, state: StateQueued, done: make(chan struct{})}
 	q.inflight[id] = j
 	q.depth++
 	q.admitted++
@@ -266,6 +272,26 @@ func (q *Queue) Status(id string) (JobStatus, bool) {
 		return JobStatus{ID: id, State: StateDone, Cached: true}, true
 	}
 	return JobStatus{}, false
+}
+
+// Await blocks until job id is terminal or ctx ends, then reports its
+// status as Status does. A job that is not in flight is answered at once.
+// The status is read from the record the wait began on, so it survives the
+// record aging out of the finished set in the meantime.
+func (q *Queue) Await(ctx context.Context, id string) (JobStatus, bool) {
+	q.mu.Lock()
+	j, ok := q.inflight[id]
+	q.mu.Unlock()
+	if !ok {
+		return q.Status(id)
+	}
+	select {
+	case <-j.done:
+	case <-ctx.Done():
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.statusLocked(j), true
 }
 
 func (q *Queue) statusLocked(j *jobRecord) JobStatus {
@@ -472,6 +498,7 @@ func (q *Queue) terminal(j *jobRecord, state State, errMsg string, elapsed time.
 		h.Add(elapsed.Milliseconds())
 	}
 	delete(q.inflight, j.id)
+	close(j.done)
 	// A job can retire under an ID that already has a finished record: a
 	// duplicate submission re-admitted the spec after its cached result was
 	// evicted. Replace the record without a second FIFO entry, otherwise

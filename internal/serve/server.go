@@ -40,13 +40,15 @@ type Config struct {
 	MaxBatchPoints int64
 	// MaxBatches bounds retained batches (<= 0: DefaultMaxBatches).
 	MaxBatches int
-	// BatchPollInterval paces batch shard tracking (<= 0: DefaultBatchPoll).
+	// BatchPollInterval paces the batch feeder's retry of a shard the full
+	// queue turned away (<= 0: DefaultBatchPoll).
 	BatchPollInterval time.Duration
 	// RetryAfter is the backpressure hint on 429/503 responses
 	// (<= 0: DefaultRetryAfter).
 	RetryAfter time.Duration
 	// RequestTimeout bounds each API request end to end
-	// (<= 0: httpx.DefaultRequestTimeout). Debug endpoints are exempt.
+	// (<= 0: httpx.DefaultRequestTimeout). Debug endpoints are exempt. A held
+	// status read (?wait=) waits at most half of it.
 	RequestTimeout time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/
 	// (cmd/wrtserved -pprof).
@@ -65,7 +67,8 @@ type Config struct {
 // Endpoints:
 //
 //	POST /v1/runs      submit a batch of scenarios; per-item job IDs
-//	GET  /v1/runs/{id} job status and, when done, the result
+//	GET  /v1/runs/{id} job status and, when done, the result; with
+//	                   ?wait=<duration>, held until the job is terminal
 //	GET  /healthz      liveness
 //	GET  /metrics      text counters (queue, cache, latency quantiles)
 //	GET  /debug/log    recent access-log entries (httpx ring buffer)
@@ -143,8 +146,14 @@ func (s *Server) Batches() *Batches { return s.batches }
 // AccessLog exposes the surface's ring buffer (tests).
 func (s *Server) AccessLog() *httpx.Ring { return s.surface.Log() }
 
-// Drain gracefully shuts the queue down (see Queue.Drain), then retires the
-// batch trackers — the queue drain leaves every job terminal, so each
+// ReleaseWaits answers every held status read now, with the job's current
+// status, and every later one at once. Register it with
+// http.Server.RegisterOnShutdown (cmd/wrtserved does): Shutdown waits for
+// active requests, so an open ?wait= would otherwise delay exit.
+func (s *Server) ReleaseWaits() { s.surface.Release() }
+
+// Drain gracefully shuts the queue down (see Queue.Drain), then waits for
+// the batches to settle — the queue drain leaves every job terminal, so each
 // in-flight batch settles with its conservation law intact (unstarted
 // shards rejected, aborted ones dropped) and its partial results remain
 // streamable. The HTTP listener itself is the caller's to stop
@@ -171,6 +180,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := s.queue.Status(id)
+	if ok && !st.State.Terminal() && r.URL.RawQuery != "" {
+		// A held read: answer once the job is terminal, or with its state
+		// when the wait runs out first.
+		ctx, cancel, err := HoldContext(s.surface, r)
+		if err != nil {
+			httpx.Error(w, r, http.StatusBadRequest, err.Error())
+			return
+		}
+		st, ok = s.queue.Await(ctx, id)
+		cancel()
+	}
 	if !ok {
 		httpx.Error(w, r, http.StatusNotFound,
 			"unknown run ID (never submitted, or its record and cached result have been evicted; resubmit the scenario)")

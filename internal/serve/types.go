@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"strconv"
 	"time"
 
+	"github.com/rtnet/wrtring/internal/httpx"
 	"github.com/rtnet/wrtring/internal/store"
 )
 
@@ -53,8 +56,27 @@ type StatusResponse struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
+// HoldContext is the context a held status read waits under: the request's
+// own, ended after its wait=<duration> query parameter (GET
+// /v1/runs/{id}?wait=10s, clamped by the surface to half the request
+// timeout) or when the daemon releases its waits at shutdown. An absent
+// wait is 0, which ends at once. An unparseable one is an error the caller
+// answers with 400.
+func HoldContext(surface *httpx.Surface, r *http.Request) (context.Context, context.CancelFunc, error) {
+	var wait time.Duration
+	if v := r.URL.Query().Get("wait"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil || d < 0 {
+			return nil, nil, fmt.Errorf("wait=%q is not a non-negative duration such as 10s", v)
+		}
+		wait = d
+	}
+	ctx, cancel := surface.Hold(r, wait)
+	return ctx, cancel, nil
+}
+
 // Terminal reports whether the status string names a terminal job state
-// (done, failed or dropped) — the condition pollers wait for.
+// (done, failed or dropped) — the condition Client.Wait waits for.
 func (r StatusResponse) Terminal() bool {
 	switch r.Status {
 	case StateDone.String(), StateFailed.String(), StateDropped.String():
