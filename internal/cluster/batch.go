@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"github.com/rtnet/wrtring/internal/serve"
@@ -18,60 +17,33 @@ import (
 // cluster is answered without running a single new simulation.
 
 // Await blocks until job id is terminal or ctx ends, then reports its
-// state; ok is false when the record aged out of the finished FIFO. The
-// state is read from the record the wait began on, so a later re-admission
-// of the same spec does not answer for this job.
+// state (see serve.Table.Await); ok is false when the record aged out of
+// the finished FIFO.
 func (c *Coordinator) Await(ctx context.Context, id string) (serve.JobStatus, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return serve.JobStatus{}, false
-	}
-	if !j.state.Terminal() {
-		c.mu.Unlock()
-		select {
-		case <-j.done:
-		case <-ctx.Done():
-		}
-		c.mu.Lock()
-	}
-	return serve.JobStatus{
-		ID: id, State: j.state, Cached: j.remoteCached,
-		Coalesced: j.coalesced, Err: j.errMsg, Elapsed: j.elapsed,
-	}, true
+	return c.jobs.Await(ctx, id)
 }
 
 // JobResult fetches a done job's result bytes from its owner worker.
 func (c *Coordinator) JobResult(ctx context.Context, id string) (json.RawMessage, error) {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	if !ok || j.state != serve.StateDone {
-		c.mu.Unlock()
+	st, ok := c.jobs.Status(id)
+	if !ok || st.State != serve.StateDone {
 		return nil, fmt.Errorf("job %s is not done on this coordinator", id)
 	}
-	workerID := j.workerID
-	c.mu.Unlock()
-	st, err := c.fetchResult(ctx, id, workerID)
+	res, err := c.fetchResult(ctx, id, st.Worker)
 	if err != nil {
 		return nil, err
 	}
-	return st.Result, nil
+	return res.Result, nil
 }
 
-// newBatches builds the coordinator's batch manager over itself.
+// newBatches builds the coordinator's batch manager over itself. Shard
+// saturation (ErrSaturated) is transient backpressure the feeder retries;
+// a dead fleet or a draining coordinator ends feeding.
 func (c *Coordinator) newBatches() *serve.Batches {
 	return serve.NewBatches(serve.BatchOptions{
 		Backend:      c,
 		MaxPoints:    c.cfg.MaxBatchPoints,
-		MaxBatches:   c.cfg.MaxBatches,
 		PollInterval: c.cfg.BatchPollInterval,
-		// Shard saturation is transient backpressure (the fleet is draining
-		// its queues); a dead fleet or a draining coordinator ends feeding.
-		Retryable: func(err error) bool { return errors.Is(err, ErrSaturated) },
-		Fatal: func(err error) bool {
-			return errors.Is(err, ErrDraining) || errors.Is(err, ErrNoWorkers)
-		},
-		Logf: c.logf,
+		Logf:         c.logf,
 	})
 }

@@ -500,11 +500,14 @@ func TestClusterMetrics(t *testing.T) {
 func TestStatusGhostWorker(t *testing.T) {
 	f := newFleet(t, 1, Config{})
 
-	f.coord.mu.Lock()
-	f.coord.jobs["ghost-job"] = &clusterJob{
-		id: "ghost-job", state: serve.StateDone, workerID: "ghost",
+	_, j, err := f.coord.jobs.Submit("ghost-job", wrtring.Scenario{}, func(bool, int) (string, string, error) {
+		return serve.SubmitQueued, "ghost", nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	f.coord.mu.Unlock()
+	f.coord.jobs.Start(j)
+	f.coord.jobs.Finish(j, serve.Outcome{State: serve.StateDone})
 
 	resp, err := http.Get(f.front.URL + "/v1/runs/ghost-job")
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	wrtring "github.com/rtnet/wrtring"
 	"github.com/rtnet/wrtring/internal/httpx"
 	"github.com/rtnet/wrtring/internal/serve"
-	"github.com/rtnet/wrtring/internal/stats"
 )
 
 // WorkerSpec names one wrtserved worker in the fleet.
@@ -43,27 +42,19 @@ type Config struct {
 	// job still running — its wait expired, or the worker is shutting down
 	// (<= 0: 20 ms). Completion itself is pushed, not polled.
 	PollInterval time.Duration
-	// HealthInterval paces liveness probing (<= 0: 1 s).
+	// HealthInterval paces liveness probing (<= 0: 1 s). An ejected worker
+	// is re-probed on a backoff that doubles from it up to probeBackoffMax.
 	HealthInterval time.Duration
-	// ProbeBackoffMax caps the ejected-worker readmission backoff, which
-	// doubles from HealthInterval per consecutive failure (<= 0: 30 s).
-	ProbeBackoffMax time.Duration
 	// RequestTimeout bounds each worker HTTP call (<= 0: 10 s). A held
 	// status read asks the worker to wait half of it.
 	RequestTimeout time.Duration
-	// MaxAttempts bounds dispatch attempts per job before it fails
-	// (<= 0: 3 × worker count).
-	MaxAttempts int
-	// MaxBatch / MaxBodyBytes / RetryAfter mirror serve.Config.
-	MaxBatch     int
-	MaxBodyBytes int64
-	RetryAfter   time.Duration
-	// MaxBatchPoints / MaxBatches / BatchPollInterval size the /v1/batches
-	// subsystem; they mirror serve.Config (<= 0: serve defaults).
-	// BatchPollInterval paces the feeder's retry of a shard whose worker is
-	// saturated.
+	// RetryAfter is the backpressure hint on 429/503 responses
+	// (<= 0: serve.DefaultRetryAfter).
+	RetryAfter time.Duration
+	// MaxBatchPoints / BatchPollInterval size the /v1/batches subsystem;
+	// they mirror serve.Config (<= 0: serve defaults). BatchPollInterval
+	// paces the feeder's retry of a shard whose worker is saturated.
 	MaxBatchPoints    int64
-	MaxBatches        int
 	BatchPollInterval time.Duration
 	// HTTPTimeout bounds each inbound API request end to end
 	// (<= 0: httpx.DefaultRequestTimeout); distinct from RequestTimeout,
@@ -76,9 +67,6 @@ type Config struct {
 	// LogEntries sizes the /debug/log access-log ring
 	// (<= 0: httpx.DefaultLogEntries).
 	LogEntries int
-	// FinishedRecords bounds retained terminal job records
-	// (<= 0: serve.DefaultFinishedRecords).
-	FinishedRecords int
 	// RebalanceInterval paces shard-handoff planning sweeps (see
 	// rebalance.go). <= 0 disables rebalancing entirely; membership changes
 	// still work, but results stay where they were computed.
@@ -91,41 +79,36 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Admission errors (the coordinator analogues of serve's).
+// Admission errors. Each matches the serve class its HTTP status comes
+// from: 429 for ErrQueueFull, 503 for ErrDraining.
 var (
 	// ErrSaturated rejects a submission because the spec's shard — the hash
 	// ring owner and by extension the cluster for this key — has no room
 	// (HTTP 429 + Retry-After).
-	ErrSaturated = errors.New("cluster: shard saturated")
+	ErrSaturated = serve.Refusal("cluster: shard saturated", serve.ErrQueueFull)
 	// ErrDraining rejects a submission during coordinator shutdown (503).
-	ErrDraining = errors.New("cluster: coordinator is draining")
+	ErrDraining = serve.Refusal("cluster: coordinator is draining", serve.ErrDraining)
 	// ErrNoWorkers rejects a submission while every worker is ejected (503).
-	ErrNoWorkers = errors.New("cluster: no live workers")
+	ErrNoWorkers = serve.Refusal("cluster: no live workers", serve.ErrDraining)
 )
 
-// clusterJob is the coordinator's record of one admitted spec. state,
-// workerID, attempts, coalesced and the terminal fields are guarded by
-// Coordinator.mu; scenario is immutable between admission and terminal
-// transition (where it is released).
-type clusterJob struct {
-	id       string
-	scenario wrtring.Scenario
-	state    serve.State
-	// done is closed exactly once, by terminalLocked: held status reads,
-	// batch shards and Drain wait on it instead of polling.
-	done         chan struct{}
-	workerID     string
-	attempts     int
-	coalesced    int64
-	remoteCached bool
-	errMsg       string
-	elapsed      time.Duration
-}
+// Limits that are not configurable.
+const (
+	// probeBackoffMax caps an ejected worker's readmission backoff.
+	probeBackoffMax = 30 * time.Second
+	// attemptsPerWorker × fleet size bounds dispatch attempts per job
+	// before it fails.
+	attemptsPerWorker = 3
+)
 
 // Coordinator fans /v1/runs submissions out to the worker fleet with
 // cache-affine consistent-hash dispatch and redispatch-on-death failover.
+// Its jobs live in a serve.Table; the coordinator adds the admission gate
+// (a live ring owner with room) and the dispatchers that execute each job
+// on a worker.
 type Coordinator struct {
 	cfg     Config
+	jobs    *serve.Table
 	surface *httpx.Surface
 	batches *serve.Batches
 	logf    func(format string, args ...any)
@@ -140,19 +123,13 @@ type Coordinator struct {
 	rebalanceCh                   chan struct{}
 	rebSweeps, rebKeys, rebErrors atomic.Int64
 
-	mu            sync.Mutex
-	ring          *Ring
-	workers       map[string]*worker
-	order         []*worker // admission order, for stable metrics/iteration
-	draining      bool
-	jobs          map[string]*clusterJob
-	finishedOrder []string
-	finishedCap   int
+	redispatched, remoteCacheHits atomic.Int64
 
-	admitted, completed, failed, dropped int64
-	rejected, coalesced                  int64
-	redispatched, remoteCacheHits        int64
-	latency                              map[string]*stats.Histogram // by worker ID
+	// mu guards the fleet. It is taken before the table's lock.
+	mu      sync.Mutex
+	ring    *Ring
+	workers map[string]*worker
+	order   []*worker // admission order, for stable metrics/iteration
 }
 
 // ClusterStats is a point-in-time snapshot of the coordinator counters.
@@ -191,26 +168,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = time.Second
 	}
-	if cfg.ProbeBackoffMax <= 0 {
-		cfg.ProbeBackoffMax = 30 * time.Second
-	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 10 * time.Second
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3 * len(cfg.Workers)
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 256
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 8 << 20
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = serve.DefaultRetryAfter
-	}
-	if cfg.FinishedRecords <= 0 {
-		cfg.FinishedRecords = serve.DefaultFinishedRecords
 	}
 	if cfg.HandoffBatch <= 0 {
 		cfg.HandoffBatch = DefaultHandoffBatch
@@ -223,20 +185,17 @@ func New(cfg Config) (*Coordinator, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		cfg:     cfg,
+		jobs:    serve.NewTable(ErrDraining),
 		workers: make(map[string]*worker, len(cfg.Workers)),
 		surface: httpx.NewSurface(httpx.Config{
 			RequestTimeout: cfg.HTTPTimeout,
-			MaxBodyBytes:   cfg.MaxBodyBytes,
 			Pprof:          cfg.EnablePprof,
 			LogEntries:     cfg.LogEntries,
 			Logf:           cfg.Logf,
 		}),
-		logf:        cfg.Logf,
-		ctx:         ctx,
-		cancel:      cancel,
-		jobs:        make(map[string]*clusterJob),
-		finishedCap: cfg.FinishedRecords,
-		latency:     make(map[string]*stats.Histogram),
+		logf:   cfg.Logf,
+		ctx:    ctx,
+		cancel: cancel,
 	}
 	// A job channel can hold at most every outstanding job in the cluster
 	// (redispatch conserves the total, admission bounds it), so this cap
@@ -297,7 +256,7 @@ func (c *Coordinator) AddWorker(spec WorkerSpec) error {
 		return fmt.Errorf("cluster: worker spec %+v needs both ID and URL", spec)
 	}
 	c.mu.Lock()
-	if c.draining {
+	if c.jobs.Stats().Draining {
 		c.mu.Unlock()
 		return ErrDraining
 	}
@@ -314,8 +273,8 @@ func (c *Coordinator) AddWorker(spec WorkerSpec) error {
 	}
 	c.ring = NewRing(ids, c.cfg.Replicas)
 	// wg.Add under mu, after the draining check: Drain sets draining before
-	// it cancels and waits, so a racing AddWorker either starts these
-	// goroutines before the Wait or is refused above.
+	// stop cancels under mu and waits, so a racing AddWorker either starts
+	// these goroutines before the Wait or is refused above.
 	for i := 0; i < c.cfg.MaxInflight; i++ {
 		c.wg.Add(1)
 		go c.runWorker(w)
@@ -352,49 +311,26 @@ func (c *Coordinator) Submit(s wrtring.Scenario) (id, outcome string, err error)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.draining {
-		c.rejected++
-		return id, "", ErrDraining
-	}
-	if j, ok := c.jobs[id]; ok {
-		switch j.state {
-		case serve.StateQueued, serve.StateRunning:
-			j.coalesced++
-			c.coalesced++
-			return id, serve.SubmitCoalesced, nil
-		case serve.StateDone:
+	var owner *worker
+	outcome, j, err := c.jobs.Submit(id, s, func(done bool, _ int) (string, string, error) {
+		if done {
 			// The job completed on its owner, whose cache shard holds the
 			// bytes; GET /v1/runs/{id} proxies them from there.
-			return id, serve.SubmitCached, nil
-		default:
-			// failed or dropped: re-admit below (determinism makes a retry
-			// produce the identical result — or the identical error).
-			c.unretireLocked(id)
+			return serve.SubmitCached, "", nil
 		}
+		var ok bool
+		if owner, ok = c.ownerLocked(id); !ok {
+			return "", "", ErrNoWorkers
+		}
+		if owner.queueDepth() >= c.cfg.MaxPerWorker {
+			return "", "", ErrSaturated
+		}
+		return serve.SubmitQueued, owner.id, nil
+	})
+	if j != nil {
+		c.assign(j, owner)
 	}
-	owner, ok := c.ownerLocked(id)
-	if !ok {
-		c.rejected++
-		return id, "", ErrNoWorkers
-	}
-	if owner.queueDepth() >= c.cfg.MaxPerWorker {
-		c.rejected++
-		return id, "", ErrSaturated
-	}
-	j := &clusterJob{id: id, scenario: s, state: serve.StateQueued, workerID: owner.id, done: make(chan struct{})}
-	c.jobs[id] = j
-	c.admitted++
-	owner.addDepth()
-	if !owner.enqueue(j) {
-		// Cannot happen with the capacity proof above; account it as a
-		// rejection rather than deadlock if the proof is ever broken.
-		owner.dropDepth()
-		delete(c.jobs, id)
-		c.admitted--
-		c.rejected++
-		return id, "", ErrSaturated
-	}
-	return id, serve.SubmitQueued, nil
+	return id, outcome, err
 }
 
 // ownerLocked resolves a key's live hash-ring owner.
@@ -406,36 +342,28 @@ func (c *Coordinator) ownerLocked(key string) (*worker, bool) {
 	return c.workers[id], true
 }
 
-// unretireLocked removes a terminal record's FIFO entry ahead of
-// re-admission under the same ID, so the order list never holds duplicates.
-func (c *Coordinator) unretireLocked(id string) {
-	for i, old := range c.finishedOrder {
-		if old == id {
-			c.finishedOrder = append(c.finishedOrder[:i], c.finishedOrder[i+1:]...)
-			break
-		}
-	}
-}
-
-// retireLocked bounds the terminal-record set FIFO, like serve's queue.
-func (c *Coordinator) retireLocked(id string) {
-	c.finishedOrder = append(c.finishedOrder, id)
-	for len(c.finishedOrder) > c.finishedCap {
-		old := c.finishedOrder[0]
-		c.finishedOrder = c.finishedOrder[1:]
-		delete(c.jobs, old)
+// assign hands an admitted or requeued job to its worker's dispatchers. A
+// full channel cannot happen with the capacity proof in New; the job fails
+// rather than deadlock if the proof is ever broken.
+func (c *Coordinator) assign(j *serve.Job, w *worker) {
+	w.addDepth()
+	if !w.enqueue(j) {
+		w.dropDepth()
+		c.jobs.Finish(j, serve.Outcome{State: serve.StateFailed,
+			Err: "dispatch channel full (capacity invariant broken)"})
 	}
 }
 
 // Stats snapshots the coordinator counters.
 func (c *Coordinator) Stats() ClusterStats {
+	js := c.jobs.Stats()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := ClusterStats{
-		Admitted: c.admitted, Completed: c.completed, Failed: c.failed,
-		Dropped: c.dropped, Rejected: c.rejected, Coalesced: c.coalesced,
-		Redispatched: c.redispatched, RemoteCacheHits: c.remoteCacheHits,
-		Workers: len(c.order), Draining: c.draining,
+		Admitted: js.Admitted, Completed: js.Completed, Failed: js.Failed,
+		Dropped: js.Dropped, Rejected: js.Rejected, Coalesced: js.Coalesced,
+		Redispatched: c.redispatched.Load(), RemoteCacheHits: c.remoteCacheHits.Load(),
+		Workers: len(c.order), Draining: js.Draining,
 	}
 	for _, w := range c.order {
 		if w.isAlive() {
@@ -446,66 +374,34 @@ func (c *Coordinator) Stats() ClusterStats {
 }
 
 // ReleaseWaits answers every held status read now, with the job's current
-// status, and every later one at once. Register it with
-// http.Server.RegisterOnShutdown (cmd/wrtcoord does): Shutdown waits for
-// active requests, so an open ?wait= would otherwise delay exit.
+// status, and every later one at once, and ends every open batch result
+// stream. Register it with http.Server.RegisterOnShutdown (cmd/wrtcoord
+// does): Shutdown waits for active requests, so an open ?wait= or stream
+// would otherwise delay exit.
 func (c *Coordinator) ReleaseWaits() { c.surface.Release() }
 
-// Drain gracefully shuts the coordinator down: admission stops immediately
-// (Submit returns ErrDraining), outstanding jobs get up to timeout to reach
-// a terminal state on their workers, then the dispatchers are cancelled and
-// whatever remains is reported dropped. Like serve.Queue.Drain, the
-// conservation law admitted == completed + failed + dropped holds on return.
+// Drain gracefully shuts the coordinator down (see serve.Table.Drain):
+// admission stops immediately (Submit returns ErrDraining), outstanding
+// jobs get up to timeout to reach a terminal state on their workers, then
+// the dispatchers are cancelled and whatever remains is reported dropped.
 func (c *Coordinator) Drain(timeout time.Duration) serve.DrainReport {
-	c.mu.Lock()
-	c.draining = true
-	before := ClusterStats{Completed: c.completed, Failed: c.failed, Dropped: c.dropped}
-	// Admission is closed, so this is every job the deadline can cover; a
-	// redispatch keeps its record and therefore its signal.
-	var outstanding []chan struct{}
-	for _, j := range c.jobs {
-		if !j.state.Terminal() {
-			outstanding = append(outstanding, j.done)
-		}
-	}
-	c.mu.Unlock()
-
-	deadline := time.NewTimer(timeout)
-	deadlineExceeded := false
-wait:
-	for _, done := range outstanding {
-		select {
-		case <-done:
-		case <-deadline.C:
-			deadlineExceeded = true
-			break wait
-		}
-	}
-	deadline.Stop()
-	c.cancel()
-	c.wg.Wait()
-	for _, w := range c.fleet() {
-		w.client.HTTP.CloseIdleConnections()
-	}
-
-	c.mu.Lock()
-	// Dispatchers are gone; anything non-terminal (still sitting in a job
-	// channel, or abandoned mid-wait by the cancel) is dropped work.
-	for _, j := range c.jobs {
-		if !j.state.Terminal() {
-			c.terminalLocked(j, serve.StateDropped, "dropped: coordinator shut down before the job finished")
-		}
-	}
-	report := serve.DrainReport{
-		Completed:        c.completed - before.Completed,
-		Failed:           c.failed - before.Failed,
-		Dropped:          c.dropped - before.Dropped,
-		DeadlineExceeded: deadlineExceeded,
-	}
-	c.mu.Unlock()
+	report := c.jobs.Drain(timeout, c.stop, "dropped: coordinator shut down before the job finished")
 	// Every job is terminal now, so every batch shard waiter settles its
 	// shard's accounting (conservation per batch) and returns; unfed shards
 	// were rejected the moment admission saw ErrDraining.
 	c.batches.Drain(timeout)
 	return report
+}
+
+// stop cancels the dispatchers, health prober and rebalancer and waits for
+// them. It cancels under mu so that AddWorker, which checks draining and
+// starts dispatchers under mu, cannot add to the WaitGroup during the Wait.
+func (c *Coordinator) stop() {
+	c.mu.Lock()
+	c.cancel()
+	c.mu.Unlock()
+	c.wg.Wait()
+	for _, w := range c.fleet() {
+		w.client.HTTP.CloseIdleConnections()
+	}
 }

@@ -7,12 +7,7 @@ import (
 
 	wrtring "github.com/rtnet/wrtring"
 	"github.com/rtnet/wrtring/internal/serve"
-	"github.com/rtnet/wrtring/internal/stats"
 )
-
-// latencyCapMs bounds the per-worker job-latency histograms (mirrors
-// internal/serve's cap; samples above land in the overflow bucket).
-const latencyCapMs = 120_000
 
 // saturationRetries bounds same-worker retries when a live worker answers
 // 429 (its own queue is full — e.g. shared with direct clients) before the
@@ -40,16 +35,11 @@ func (c *Coordinator) runWorker(w *worker) {
 // simple: a job that dies with its worker is re-submitted whole elsewhere
 // and the recomputed result is byte-identical, so there is nothing to
 // migrate or reconcile — only to re-run.
-func (c *Coordinator) dispatch(w *worker, j *clusterJob) {
-	c.mu.Lock()
-	if j.state != serve.StateQueued || j.workerID != w.id {
-		// Stale handoff (the job was retired by a drain that raced the pull).
-		c.mu.Unlock()
+func (c *Coordinator) dispatch(w *worker, j *serve.Job) {
+	scenario, ok := c.jobs.Start(j)
+	if !ok {
 		return
 	}
-	j.state = serve.StateRunning
-	scenario := j.scenario
-	c.mu.Unlock()
 
 	if !w.isAlive() {
 		c.moveJob(j, w, "owner ejected before dispatch")
@@ -115,7 +105,7 @@ submit:
 	// non-terminal answer means that wait expired (or the worker is shutting
 	// down), and only then does the dispatcher pause and ask again.
 	for {
-		code, st, err := w.client.StatusWait(c.ctx, j.id, c.cfg.RequestTimeout/2)
+		code, st, err := w.client.StatusWait(c.ctx, j.ID, c.cfg.RequestTimeout/2)
 		switch {
 		case err != nil:
 			if c.ctx.Err() != nil {
@@ -178,18 +168,18 @@ func (c *Coordinator) ejectWorker(w *worker, format string, args ...any) {
 // goes back to queued state on the hash ring's next live owner. When the
 // original owner is the only live worker it retries there; when no worker
 // is live, or the attempt budget is spent, the job fails.
-func (c *Coordinator) moveJob(j *clusterJob, from *worker, reason string) {
-	c.mu.Lock()
+func (c *Coordinator) moveJob(j *serve.Job, from *worker, reason string) {
 	from.dropDepth()
-	j.attempts++
-	if j.attempts >= c.cfg.MaxAttempts {
-		c.terminalLocked(j, serve.StateFailed,
-			fmt.Sprintf("failed after %d dispatch attempts (last: %s)", j.attempts, reason))
+	j.Attempts++
+	c.mu.Lock()
+	if j.Attempts >= attemptsPerWorker*len(c.order) {
 		c.mu.Unlock()
+		c.jobs.Finish(j, serve.Outcome{State: serve.StateFailed,
+			Err: fmt.Sprintf("failed after %d dispatch attempts (last: %s)", j.Attempts, reason)})
 		return
 	}
 	var target *worker
-	for _, id := range c.ring.Sequence(j.id) {
+	for _, id := range c.ring.Sequence(j.ID) {
 		if w := c.workers[id]; id != from.id && w.isAlive() {
 			target = w
 			break
@@ -199,84 +189,40 @@ func (c *Coordinator) moveJob(j *clusterJob, from *worker, reason string) {
 	if target == nil && from.isAlive() {
 		target = from // sole live worker: retry in place
 	}
+	c.mu.Unlock()
 	if target == nil {
-		c.terminalLocked(j, serve.StateFailed, "no live workers (last: "+reason+")")
-		c.mu.Unlock()
+		c.jobs.Finish(j, serve.Outcome{State: serve.StateFailed, Err: "no live workers (last: " + reason + ")"})
 		return
 	}
 	if moved {
-		c.redispatched++
+		c.redispatched.Add(1)
 	}
-	j.state = serve.StateQueued
-	j.workerID = target.id
-	target.addDepth()
-	if !target.enqueue(j) {
-		target.dropDepth()
-		c.terminalLocked(j, serve.StateFailed, "redispatch channel full (capacity invariant broken)")
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
+	c.jobs.Requeue(j, target.id)
+	c.assign(j, target)
 	c.logf("cluster: redispatching %s: %s → %s (%s, attempt %d)",
-		shortID(j.id), from.id, target.id, reason, j.attempts)
+		shortID(j.ID), from.id, target.id, reason, j.Attempts)
 }
 
 // finishJob retires a successfully completed job; remoteCached marks one
 // the worker answered from its cache shard at submit.
-func (c *Coordinator) finishJob(j *clusterJob, w *worker, elapsed time.Duration, remoteCached bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Coordinator) finishJob(j *serve.Job, w *worker, elapsed time.Duration, remoteCached bool) {
 	w.dropDepth()
 	if remoteCached {
-		c.remoteCacheHits++
-		j.remoteCached = true
+		c.remoteCacheHits.Add(1)
 	}
-	j.elapsed = elapsed
-	h, ok := c.latency[w.id]
-	if !ok {
-		h = stats.NewHistogram(latencyCapMs)
-		c.latency[w.id] = h
-	}
-	h.Add(elapsed.Milliseconds())
-	c.terminalLocked(j, serve.StateDone, "")
+	c.jobs.Finish(j, serve.Outcome{State: serve.StateDone, Elapsed: elapsed, Label: w.id, Cached: remoteCached})
 }
 
 // failJob retires a job that cannot succeed (invalid spec, deterministic
 // simulation error, attempts exhausted).
-func (c *Coordinator) failJob(j *clusterJob, w *worker, errMsg string, elapsed time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Coordinator) failJob(j *serve.Job, w *worker, errMsg string, elapsed time.Duration) {
 	w.dropDepth()
-	j.elapsed = elapsed
-	c.terminalLocked(j, serve.StateFailed, errMsg)
-}
-
-// terminalLocked moves a job to a terminal state under c.mu, updates the
-// conservation counters and fires the job's done signal. The scenario
-// payload is released; workerID is kept so the status path knows which
-// cache shard holds the result bytes.
-func (c *Coordinator) terminalLocked(j *clusterJob, state serve.State, errMsg string) {
-	if j.state.Terminal() {
-		return
-	}
-	j.state = state
-	j.errMsg = errMsg
-	j.scenario = wrtring.Scenario{}
-	switch state {
-	case serve.StateDone:
-		c.completed++
-	case serve.StateFailed:
-		c.failed++
-	case serve.StateDropped:
-		c.dropped++
-	}
-	close(j.done)
-	c.retireLocked(j.id)
+	c.jobs.Finish(j, serve.Outcome{State: serve.StateFailed, Err: errMsg, Elapsed: elapsed})
 }
 
 // healthLoop probes the fleet: live workers get a liveness check every
 // HealthInterval; ejected workers are re-probed on an exponential backoff
-// (doubling from HealthInterval, capped at ProbeBackoffMax) and readmitted
+// (doubling from HealthInterval, capped at probeBackoffMax) and readmitted
 // to the ring — which is instant, because the ring itself never changes,
 // only the liveness predicate its lookups consult.
 func (c *Coordinator) healthLoop() {
@@ -312,7 +258,7 @@ func (c *Coordinator) healthLoop() {
 			case err != nil && w.isAlive():
 				c.ejectWorker(w, "health probe failed: %v", err)
 			case err != nil:
-				w.probeFailed(c.cfg.HealthInterval, c.cfg.ProbeBackoffMax)
+				w.probeFailed(c.cfg.HealthInterval, probeBackoffMax)
 			}
 		}
 	}

@@ -25,66 +25,50 @@ import (
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	serve.HandleBatchSubmit(w, r, serve.BatchSubmitOptions{
-		MaxBatch:   c.cfg.MaxBatch,
+		MaxBatch:   serve.DefaultMaxBatch,
 		RetryAfter: c.cfg.RetryAfter,
 		Submit:     c.Submit,
-		Fatal: func(err error) bool {
-			return errors.Is(err, ErrDraining) || errors.Is(err, ErrNoWorkers)
-		},
-		Reject: func(err error) bool { return errors.Is(err, ErrSaturated) },
 	})
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	if !ok {
-		c.mu.Unlock()
-		httpx.Error(w, r, http.StatusNotFound,
-			"unknown run ID (never submitted, or its record aged out; resubmit the scenario)")
-		return
-	}
-	if !j.state.Terminal() && r.URL.RawQuery != "" {
+	st, ok := c.jobs.Status(id)
+	if ok && !st.State.Terminal() && r.URL.RawQuery != "" {
 		// A held read: answer once the job is terminal, or with its state
-		// when the wait runs out first. The record, not the ID, is read
-		// afterwards, so it answers even if the record has aged out.
-		c.mu.Unlock()
+		// when the wait runs out first.
 		ctx, cancel, err := serve.HoldContext(c.surface, r)
 		if err != nil {
 			httpx.Error(w, r, http.StatusBadRequest, err.Error())
 			return
 		}
-		select {
-		case <-j.done:
-		case <-ctx.Done():
-		}
+		st, ok = c.jobs.Await(ctx, id)
 		cancel()
-		c.mu.Lock()
 	}
-	state := j.state
-	workerID := j.workerID
+	if !ok {
+		httpx.Error(w, r, http.StatusNotFound,
+			"unknown run ID (never submitted, or its record aged out; resubmit the scenario)")
+		return
+	}
 	snapshot := serve.StatusResponse{
-		ID: id, Status: state.String(), Cached: j.remoteCached,
-		Coalesced: j.coalesced, ElapsedMs: j.elapsed.Milliseconds(), Error: j.errMsg,
+		ID: id, Status: st.State.String(), Cached: st.Cached,
+		Coalesced: st.Coalesced, ElapsedMs: st.Elapsed.Milliseconds(), Error: st.Err,
 	}
-	c.mu.Unlock()
-
-	if state != serve.StateDone {
+	if st.State != serve.StateDone {
 		httpx.WriteJSON(w, http.StatusOK, snapshot)
 		return
 	}
 	// Done: the result bytes live in the owner worker's cache shard. Proxy
 	// them through; on any failure the job stays "done" (the work happened)
 	// with a recovery hint — resubmitting recomputes the identical bytes.
-	st, err := c.fetchResult(r.Context(), id, workerID)
+	res, err := c.fetchResult(r.Context(), id, st.Worker)
 	if err != nil {
 		snapshot.Error = err.Error()
 		httpx.WriteJSON(w, http.StatusOK, snapshot)
 		return
 	}
-	snapshot.Result = st.Result
-	snapshot.TraceEvents = st.TraceEvents
+	snapshot.Result = res.Result
+	snapshot.TraceEvents = res.TraceEvents
 	httpx.WriteJSON(w, http.StatusOK, snapshot)
 }
 
@@ -238,21 +222,15 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Metric("wrtcoord_rebalance_keys_total", rb.KeysRequested, "keys the rebalancer asked owners to pull")
 	m.Metric("wrtcoord_rebalance_errors_total", rb.Errors, "failed index fetches and rejected pull requests")
 
-	c.mu.Lock()
-	for _, w := range fleet {
-		h, ok := c.latency[w.id]
-		if !ok {
-			continue
-		}
-		label := fmt.Sprintf(`worker=%q`, w.id)
+	for _, ls := range c.jobs.LatencySnapshot() {
+		label := fmt.Sprintf(`worker=%q`, ls.Label)
 		m.Help("wrtcoord_job_latency_ms", "end-to-end dispatch+run latency per worker")
-		m.Labeled("wrtcoord_job_latency_ms_count", label, h.N())
-		m.Labeled("wrtcoord_job_latency_ms_mean", label, fmt.Sprintf("%.3f", h.Mean()))
-		m.Labeled("wrtcoord_job_latency_ms", label+`,quantile="0.5"`, h.Quantile(0.50))
-		m.Labeled("wrtcoord_job_latency_ms", label+`,quantile="0.9"`, h.Quantile(0.90))
-		m.Labeled("wrtcoord_job_latency_ms", label+`,quantile="0.99"`, h.Quantile(0.99))
+		m.Labeled("wrtcoord_job_latency_ms_count", label, ls.N)
+		m.Labeled("wrtcoord_job_latency_ms_mean", label, fmt.Sprintf("%.3f", ls.MeanMs))
+		m.Labeled("wrtcoord_job_latency_ms", label+`,quantile="0.5"`, ls.P50Ms)
+		m.Labeled("wrtcoord_job_latency_ms", label+`,quantile="0.9"`, ls.P90Ms)
+		m.Labeled("wrtcoord_job_latency_ms", label+`,quantile="0.99"`, ls.P99Ms)
 	}
-	c.mu.Unlock()
 
 	m.WriteTo(w)
 }

@@ -20,7 +20,7 @@ type worker struct {
 	// ch carries admitted jobs to this worker's dispatcher goroutines. Its
 	// capacity covers every outstanding job in the cluster, so enqueue never
 	// blocks (see the capacity note in New).
-	ch chan *clusterJob
+	ch chan *serve.Job
 
 	// depth is the coordinator's count of jobs assigned to this worker that
 	// have not reached a terminal state (queued in ch, being dispatched, or
@@ -54,7 +54,7 @@ func newWorker(spec WorkerSpec, chanCap int, timeout time.Duration, maxInflight 
 		id:     spec.ID,
 		url:    spec.URL,
 		client: client,
-		ch:     make(chan *clusterJob, chanCap),
+		ch:     make(chan *serve.Job, chanCap),
 	}
 	w.alive.Store(true)
 	return w
@@ -69,7 +69,7 @@ func (w *worker) dropDepth()      { w.depth.Add(-1) }
 // enqueue hands a job to the worker's dispatchers; false means the channel
 // was full, which the admission bound makes impossible unless the capacity
 // proof in New is broken.
-func (w *worker) enqueue(j *clusterJob) bool {
+func (w *worker) enqueue(j *serve.Job) bool {
 	select {
 	case w.ch <- j:
 		return true

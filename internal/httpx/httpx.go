@@ -160,10 +160,15 @@ func (s *Surface) Hold(r *http.Request, d time.Duration) (ctx context.Context, c
 }
 
 // Release ends every held wait now and every later one at once, so each is
-// answered with whatever its handler has at that moment. Register it with
-// http.Server.RegisterOnShutdown: Shutdown waits for active requests, so an
-// open hold would otherwise delay exit by up to its wait.
+// answered with whatever its handler has at that moment, and closes
+// Released for the streams. Register it with http.Server.RegisterOnShutdown:
+// Shutdown waits for active requests, so an open hold or stream would
+// otherwise delay exit.
 func (s *Surface) Release() { s.release() }
+
+// Released is closed by Release. A stream route ends its response when it
+// closes.
+func (s *Surface) Released() <-chan struct{} { return s.released.Done() }
 
 // Handler is the fully composed stack, ready for http.Server or httptest.
 func (s *Surface) Handler() http.Handler { return s.handler }

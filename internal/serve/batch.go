@@ -23,10 +23,11 @@ import (
 // resubmitting a grid whose results are cached completes without running a
 // single new simulation.
 
-// BatchBackend is what the batch layer needs from an execution engine.
-// serve.Queue satisfies it via queueBackend; cluster.Coordinator implements
-// it directly (its JobResult proxies bytes from the owner worker's cache
-// shard).
+// BatchBackend is what the batch layer needs from an execution engine:
+// Queue and cluster.Coordinator both implement it (the coordinator's
+// JobResult proxies bytes from the owner worker's cache shard). Admission
+// errors matching ErrQueueFull are backpressure the feeder retries; errors
+// matching ErrDraining end feeding.
 type BatchBackend interface {
 	// Submit admits one scenario and reports the content-addressed job ID
 	// plus the outcome (SubmitQueued, SubmitCached or SubmitCoalesced).
@@ -37,20 +38,6 @@ type BatchBackend interface {
 	Await(ctx context.Context, id string) (JobStatus, bool)
 	// JobResult fetches the encoded result bytes of a done job.
 	JobResult(ctx context.Context, id string) (json.RawMessage, error)
-}
-
-// queueBackend adapts the single-node Queue to BatchBackend.
-type queueBackend struct{ q *Queue }
-
-func (b queueBackend) Submit(s wrtring.Scenario) (string, string, error) { return b.q.Submit(s) }
-func (b queueBackend) Await(ctx context.Context, id string) (JobStatus, bool) {
-	return b.q.Await(ctx, id)
-}
-func (b queueBackend) JobResult(_ context.Context, id string) (json.RawMessage, error) {
-	if data, ok := b.q.Result(id); ok {
-		return json.RawMessage(data), nil
-	}
-	return nil, errors.New("result evicted from cache; resubmit the scenario to recompute")
 }
 
 // Batch admission errors.
@@ -79,15 +66,9 @@ type BatchOptions struct {
 	// (<= 0: DefaultMaxBatches). Finished batches age out FIFO past it.
 	MaxBatches int
 	// PollInterval paces the feeder's retry of a shard the engine turned
-	// away with a Retryable error (<= 0: DefaultBatchPoll). Shard completion
-	// is not polled: each admitted shard waits on its job's terminal signal.
+	// away with ErrQueueFull (<= 0: DefaultBatchPoll). Shard completion is
+	// not polled: each admitted shard waits on its job's terminal signal.
 	PollInterval time.Duration
-	// Retryable classifies admission errors worth retrying (queue or shard
-	// full); the feeder backs off PollInterval and resubmits the shard.
-	Retryable func(error) bool
-	// Fatal classifies admission errors that end feeding (draining, no
-	// workers): the current and remaining shards are marked rejected.
-	Fatal func(error) bool
 	// Logf receives operational events (nil: log.Printf).
 	Logf func(format string, args ...any)
 }
@@ -116,12 +97,6 @@ func NewBatches(opts BatchOptions) *Batches {
 	}
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = DefaultBatchPoll
-	}
-	if opts.Retryable == nil {
-		opts.Retryable = func(error) bool { return false }
-	}
-	if opts.Fatal == nil {
-		opts.Fatal = func(error) bool { return false }
 	}
 	if opts.Logf == nil {
 		opts.Logf = log.Printf
@@ -314,10 +289,10 @@ func (bs *Batches) Stats() BatchesStats {
 }
 
 // feed walks the grid in expansion order, admitting one shard at a time.
-// Backpressure (Retryable errors) backs off PollInterval and retries the
-// same shard — the server-side analogue of the client honouring
-// Retry-After — so a grid larger than the queue capacity feeds at exactly
-// the rate the queue drains. Fatal errors and cancellation reject the
+// Backpressure (ErrQueueFull) backs off PollInterval and retries the same
+// shard — the server-side analogue of the client honouring Retry-After —
+// so a grid larger than the queue capacity feeds at exactly the rate the
+// queue drains. Closed admission (ErrDraining) and cancellation reject the
 // current and all remaining shards, keeping the conservation law intact.
 func (bs *Batches) feed(b *Batch) {
 	defer bs.wg.Done()
@@ -385,9 +360,9 @@ func (bs *Batches) feedOne(b *Batch, i int64, s wrtring.Scenario) error {
 			bs.wg.Add(1)
 			go bs.await(b, id, w)
 			return nil
-		case bs.opts.Fatal(err):
+		case errors.Is(err, ErrDraining):
 			return err
-		case bs.opts.Retryable(err):
+		case errors.Is(err, ErrQueueFull):
 			select {
 			case <-b.ctx.Done():
 				return errors.New("batch cancelled before the shard was submitted")

@@ -77,7 +77,7 @@ type BatchResultLine struct {
 //
 // retryAfter stamps the backpressure hint on 429/503 responses.
 func MountBatchAPI(surface *httpx.Surface, bs *Batches, retryAfter time.Duration) {
-	api := &batchAPI{batches: bs, retryAfter: retryAfter}
+	api := &batchAPI{batches: bs, surface: surface, retryAfter: retryAfter}
 	mux := surface.Mux()
 	mux.HandleFunc("POST /v1/batches", api.handleCreate)
 	mux.HandleFunc("GET /v1/batches/{id}", api.handleStatus)
@@ -87,6 +87,7 @@ func MountBatchAPI(surface *httpx.Surface, bs *Batches, retryAfter time.Duration
 
 type batchAPI struct {
 	batches    *Batches
+	surface    *httpx.Surface
 	retryAfter time.Duration
 }
 
@@ -144,7 +145,8 @@ func (api *batchAPI) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleResults streams a batch's terminal shards in completion order,
 // flushing per line, and replays from the start for every new reader (the
 // doneOrder log is the stream). The connection stays open until every shard
-// is terminal or the client goes away; result payloads are fetched lazily
+// is terminal, the client goes away or the daemon releases its waits at
+// shutdown (a client reconnects and replays); result payloads are fetched lazily
 // from the backend per line, so a replay after cache eviction degrades to a
 // per-line error instead of a broken stream.
 func (api *batchAPI) handleResults(w http.ResponseWriter, r *http.Request) {
@@ -172,6 +174,8 @@ func (api *batchAPI) handleResults(w http.ResponseWriter, r *http.Request) {
 			}
 			select {
 			case <-r.Context().Done():
+				return
+			case <-api.surface.Released():
 				return
 			case <-wake:
 			}

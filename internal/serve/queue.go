@@ -2,17 +2,15 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	wrtring "github.com/rtnet/wrtring"
 	"github.com/rtnet/wrtring/internal/runner"
-	"github.com/rtnet/wrtring/internal/stats"
-	"github.com/rtnet/wrtring/internal/trace"
 )
 
 // State is a job's lifecycle position.
@@ -59,45 +57,40 @@ const (
 	SubmitCoalesced = "coalesced"
 )
 
-// Admission errors.
+// Admission errors. Each is the class of refusal a daemon answers with
+// one HTTP status; an engine's own refusals match one of them under
+// errors.Is (see Refusal).
 var (
-	// ErrQueueFull rejects a submission because the bounded queue is at
-	// capacity — the admission-control backpressure signal (HTTP 429).
+	// ErrQueueFull rejects a submission because the engine is at capacity:
+	// the admission-control backpressure signal (HTTP 429 + Retry-After).
 	ErrQueueFull = errors.New("serve: job queue full")
-	// ErrDraining rejects a submission because shutdown has begun (HTTP 503).
+	// ErrDraining rejects a submission because admission is closed, as it
+	// is once shutdown has begun (HTTP 503 + Retry-After).
 	ErrDraining = errors.New("serve: server is draining")
 )
 
-// jobRecord is the queue's view of one admitted scenario. The scenario
-// itself is released on terminal transition; finished records keep only
-// identity, outcome and timings.
-type jobRecord struct {
-	id       string
-	scenario wrtring.Scenario
-	state    State
-	errMsg   string
-	// done is closed exactly once, by terminal: the push signal held status
-	// reads and batch shards wait on instead of polling.
-	done chan struct{}
-	// journal is the run's trace recorder when the scenario enables Trace;
-	// it is written by the simulation goroutine and read concurrently by
-	// the HTTP status path (trace.Recorder is internally locked). It is a
-	// view into the worker's reusable arena, so terminal() snapshots its
-	// total into traceTotal and drops the pointer — the recorder belongs to
-	// the worker's NEXT job the moment this one retires.
-	journal    *trace.Recorder
-	traceTotal uint64
-	coalesced  int64
-	elapsed    time.Duration
+// Refusal returns an admission error that reads msg and matches class
+// (ErrQueueFull or ErrDraining) under errors.Is. An engine words its own
+// refusals; the HTTP front ends and the batch feeder classify them by the
+// two classes alone.
+func Refusal(msg string, class error) error { return &refusal{msg, class} }
+
+type refusal struct {
+	msg   string
+	class error
 }
+
+func (e *refusal) Error() string { return e.msg }
+func (e *refusal) Unwrap() error { return e.class }
 
 // JobStatus is the externally visible snapshot of a job or cached result.
 type JobStatus struct {
 	ID    string
 	State State
-	// Cached means the result bytes were served from the cache with no job
-	// record (either a fresh-submission hit or a completed job whose record
-	// aged out).
+	// Cached means the result bytes were served from a cache: on a single
+	// node with no job record (a fresh-submission hit, or a completed job
+	// whose record aged out); on the coordinator, a job its worker
+	// answered from its cache shard.
 	Cached bool
 	// Coalesced counts additional submissions that shared this job.
 	Coalesced int64
@@ -106,6 +99,8 @@ type JobStatus struct {
 	TraceEvents uint64
 	Err         string
 	Elapsed     time.Duration
+	// Worker is the fleet member a coordinator job is assigned to.
+	Worker string
 }
 
 // QueueStats is a point-in-time snapshot of the queue counters. The
@@ -124,9 +119,11 @@ type QueueStats struct {
 	Coalesced int64
 }
 
-// LatencyStats summarises one protocol's job-latency histogram.
+// LatencyStats summarises one job-latency histogram.
 type LatencyStats struct {
-	Protocol   string
+	// Label is what the histogram is kept per: the protocol on a single
+	// node, the worker on the coordinator.
+	Label      string
 	N          int64
 	MeanMs     float64
 	P50Ms      int64
@@ -136,44 +133,32 @@ type LatencyStats struct {
 	Overflowed int64
 }
 
-// latencyCapMs bounds the per-protocol latency histograms (samples above
-// land in the overflow bucket; see internal/stats).
+// latencyCapMs bounds the latency histograms (samples above land in the
+// overflow bucket; see internal/stats).
 const latencyCapMs = 120_000
 
 // DefaultFinishedRecords bounds retained terminal job records.
 const DefaultFinishedRecords = 4096
 
-// Queue is the bounded, admission-controlled job queue. Submissions are
-// content-addressed: a spec identical to an in-flight one coalesces onto
-// the existing job, and a spec whose result is cached never becomes a job
-// at all. Execution is delegated to internal/runner one job at a time per
-// worker, which preserves the per-run determinism contract (each run owns
-// its kernel and RNG; worker count changes wall clock, never bytes).
+// Queue is the bounded, admission-controlled job queue: the single-node
+// engine on the job table. Submissions are content-addressed: a spec
+// identical to an in-flight one coalesces onto the existing job, and a
+// spec whose result is cached never becomes a job at all. Execution is
+// delegated to internal/runner one job at a time per worker, which
+// preserves the per-run determinism contract (each run owns its kernel and
+// RNG; worker count changes wall clock, never bytes).
 type Queue struct {
+	jobs     *Table
 	cache    *Cache
 	capacity int
-	workers  int
+	// ch carries admitted jobs to the workers. The depth bound keeps it
+	// below its capacity, so a send never blocks; it is never closed, and
+	// the workers stop on ctx instead.
+	ch chan *Job
 
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-
-	mu            sync.Mutex
-	ch            chan *jobRecord
-	draining      bool
-	inflight      map[string]*jobRecord // queued or running
-	finished      map[string]*jobRecord // terminal, bounded FIFO
-	finishedOrder []string
-	finishedCap   int
-
-	depth, running int
-	admitted       int64
-	completed      int64
-	failed         int64
-	dropped        int64
-	rejected       int64
-	coalesced      int64
-	latency        map[string]*stats.Histogram
 }
 
 // NewQueue creates a queue of at most capacity pending jobs executed by the
@@ -188,16 +173,12 @@ func NewQueue(cache *Cache, capacity, workers int) *Queue {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &Queue{
-		cache:       cache,
-		capacity:    capacity,
-		workers:     workers,
-		ctx:         ctx,
-		cancel:      cancel,
-		ch:          make(chan *jobRecord, capacity),
-		inflight:    make(map[string]*jobRecord),
-		finished:    make(map[string]*jobRecord),
-		finishedCap: DefaultFinishedRecords,
-		latency:     make(map[string]*stats.Histogram),
+		jobs:     NewTable(ErrDraining),
+		cache:    cache,
+		capacity: capacity,
+		ch:       make(chan *Job, capacity),
+		ctx:      ctx,
+		cancel:   cancel,
 	}
 	for i := 0; i < workers; i++ {
 		q.wg.Add(1)
@@ -219,96 +200,52 @@ func (q *Queue) Submit(s wrtring.Scenario) (id, outcome string, err error) {
 	if _, ok := q.cache.Get(id); ok {
 		return id, SubmitCached, nil
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.draining {
-		q.rejected++
-		return id, "", ErrDraining
+	outcome, j, err := q.jobs.Submit(id, s, func(_ bool, depth int) (string, string, error) {
+		// Second cache check, under the table lock: a worker publishes
+		// result bytes (cache.Put) strictly before it retires the job
+		// (Finish takes the table lock), so a completion that raced the
+		// lock-free lookup above is visible here. Without this, a duplicate
+		// submission landing in the Put→Finish window re-admits and re-runs
+		// a spec whose bytes are already cached. (If the entry was instead
+		// evicted in that window, re-admission is the correct recovery:
+		// deterministic re-run, identical bytes.)
+		if _, ok := q.cache.GetIfPresent(id); ok {
+			return SubmitCached, "", nil
+		}
+		if depth >= q.capacity {
+			return "", "", ErrQueueFull
+		}
+		return SubmitQueued, "", nil
+	})
+	if j != nil {
+		q.ch <- j
 	}
-	if j, ok := q.inflight[id]; ok {
-		j.coalesced++
-		q.coalesced++
-		return id, SubmitCoalesced, nil
-	}
-	// Second cache check, now under q.mu: a worker publishes result bytes
-	// (cache.Put) strictly before it retires the job record (terminal takes
-	// q.mu), so a completion that raced the lock-free lookup above is
-	// visible here. Without this, a duplicate submission landing in the
-	// Put→terminal window re-admits and re-runs a spec whose bytes are
-	// already cached. (If the entry was instead *evicted* in that window,
-	// the re-admission below is the correct recovery: deterministic re-run,
-	// identical bytes.)
-	if _, ok := q.cache.GetIfPresent(id); ok {
-		return id, SubmitCached, nil
-	}
-	if q.depth >= q.capacity {
-		q.rejected++
-		return id, "", ErrQueueFull
-	}
-	j := &jobRecord{id: id, scenario: s, state: StateQueued, done: make(chan struct{})}
-	q.inflight[id] = j
-	q.depth++
-	q.admitted++
-	q.ch <- j // buffered to capacity; never blocks under the depth bound
-	return id, SubmitQueued, nil
+	return id, outcome, err
 }
 
 // Status reports a job or cached result by ID. The bool is false when the
 // ID is entirely unknown (never admitted, record aged out and not cached).
 func (q *Queue) Status(id string) (JobStatus, bool) {
-	q.mu.Lock()
-	if j, ok := q.inflight[id]; ok {
-		st := q.statusLocked(j)
-		q.mu.Unlock()
+	if st, ok := q.jobs.Status(id); ok {
 		return st, true
 	}
-	if j, ok := q.finished[id]; ok {
-		st := q.statusLocked(j)
-		q.mu.Unlock()
+	return q.cachedStatus(id)
+}
+
+// Await blocks until job id is terminal or ctx ends, then reports its
+// status as Status does (see Table.Await).
+func (q *Queue) Await(ctx context.Context, id string) (JobStatus, bool) {
+	if st, ok := q.jobs.Await(ctx, id); ok {
 		return st, true
 	}
-	q.mu.Unlock()
+	return q.cachedStatus(id)
+}
+
+func (q *Queue) cachedStatus(id string) (JobStatus, bool) {
 	if q.cache.Contains(id) {
 		return JobStatus{ID: id, State: StateDone, Cached: true}, true
 	}
 	return JobStatus{}, false
-}
-
-// Await blocks until job id is terminal or ctx ends, then reports its
-// status as Status does. A job that is not in flight is answered at once.
-// The status is read from the record the wait began on, so it survives the
-// record aging out of the finished set in the meantime.
-func (q *Queue) Await(ctx context.Context, id string) (JobStatus, bool) {
-	q.mu.Lock()
-	j, ok := q.inflight[id]
-	q.mu.Unlock()
-	if !ok {
-		return q.Status(id)
-	}
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.statusLocked(j), true
-}
-
-func (q *Queue) statusLocked(j *jobRecord) JobStatus {
-	st := JobStatus{
-		ID: j.id, State: j.state, Coalesced: j.coalesced,
-		Err: j.errMsg, Elapsed: j.elapsed,
-	}
-	// Reading the journal total while the simulation goroutine records is
-	// the concurrent path trace.Recorder's internal lock exists for. After
-	// the terminal transition the pointer is gone (the arena-owned recorder
-	// now serves the worker's next job) and the frozen snapshot stands in.
-	if j.journal != nil {
-		st.TraceEvents = j.journal.Total()
-	} else {
-		st.TraceEvents = j.traceTotal
-	}
-	return st
 }
 
 // Result returns the encoded result bytes for a done job (served from the
@@ -317,38 +254,20 @@ func (q *Queue) Result(id string) ([]byte, bool) {
 	return q.cache.Peek(id)
 }
 
-// Stats snapshots the queue counters.
-func (q *Queue) Stats() QueueStats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return QueueStats{
-		Depth: q.depth, Running: q.running, Draining: q.draining,
-		Admitted: q.admitted, Completed: q.completed, Failed: q.failed,
-		Dropped: q.dropped, Rejected: q.rejected, Coalesced: q.coalesced,
+// JobResult is Result for the batch layer.
+func (q *Queue) JobResult(_ context.Context, id string) (json.RawMessage, error) {
+	if data, ok := q.Result(id); ok {
+		return data, nil
 	}
+	return nil, errors.New("result evicted from cache; resubmit the scenario to recompute")
 }
+
+// Stats snapshots the queue counters.
+func (q *Queue) Stats() QueueStats { return q.jobs.Stats() }
 
 // LatencySnapshot summarises the per-protocol job latency histograms in
 // protocol-name order.
-func (q *Queue) LatencySnapshot() []LatencyStats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	names := make([]string, 0, len(q.latency))
-	for name := range q.latency {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]LatencyStats, 0, len(names))
-	for _, name := range names {
-		h := q.latency[name]
-		out = append(out, LatencyStats{
-			Protocol: name, N: h.N(), MeanMs: h.Mean(),
-			P50Ms: h.Quantile(0.50), P90Ms: h.Quantile(0.90), P99Ms: h.Quantile(0.99),
-			MaxMs: h.Max(), Overflowed: h.Overflowed(),
-		})
-	}
-	return out
-}
+func (q *Queue) LatencySnapshot() []LatencyStats { return q.jobs.LatencySnapshot() }
 
 // DrainReport summarises a graceful shutdown.
 type DrainReport struct {
@@ -360,157 +279,66 @@ type DrainReport struct {
 	DeadlineExceeded bool
 }
 
-// Drain performs graceful shutdown: admission stops immediately (Submit
-// returns ErrDraining), queued and running jobs get up to timeout to
-// finish, and at the deadline the remaining work is cancelled — running
-// simulations abort at their next runner chunk boundary — and reported as
-// dropped. Drain is idempotent; concurrent calls share one shutdown and
-// all block until it completes.
+// Drain performs graceful shutdown (see Table.Drain): admission stops
+// immediately (Submit returns ErrDraining), queued and running jobs get up
+// to timeout to finish, and at the deadline the workers are cancelled —
+// running simulations abort at their next runner chunk boundary — and the
+// remaining work is reported as dropped.
 func (q *Queue) Drain(timeout time.Duration) DrainReport {
-	q.mu.Lock()
-	already := q.draining
-	if !already {
-		q.draining = true
-		close(q.ch) // Submit holds q.mu and checks draining, so no send can race this close
-	}
-	before := QueueStats{Completed: q.completed, Failed: q.failed, Dropped: q.dropped}
-	q.mu.Unlock()
-
-	workersDone := make(chan struct{})
-	go func() {
+	return q.jobs.Drain(timeout, func() {
+		q.cancel()
 		q.wg.Wait()
-		close(workersDone)
-	}()
-	deadlineExceeded := false
-	select {
-	case <-workersDone:
-	case <-time.After(timeout):
-		deadlineExceeded = true
-		q.cancel() // abort in-flight runs; workers mark remaining jobs dropped
-		<-workersDone
-	}
-	q.cancel()
-
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if already {
-		// A concurrent Drain already accounted the window; report totals.
-		before = QueueStats{}
-	}
-	return DrainReport{
-		Completed:        q.completed - before.Completed,
-		Failed:           q.failed - before.Failed,
-		Dropped:          q.dropped - before.Dropped,
-		DeadlineExceeded: deadlineExceeded,
-	}
+	}, "dropped: server shut down before the job started")
 }
 
 // worker executes jobs one at a time via the runner until the queue is
-// closed (drain) or the context is cancelled (drain deadline). Each worker
-// owns one long-lived simulation arena reused across its job stream — the
-// per-job network construction cost disappears after the first build, and
-// the arena reuse contract keeps results byte-identical to fresh builds
-// however the previous job ended (done, failed, aborted at the deadline).
+// cancelled (drain). Each worker owns one long-lived simulation arena
+// reused across its job stream — the per-job network construction cost
+// disappears after the first build, and the arena reuse contract keeps
+// results byte-identical to fresh builds however the previous job ended
+// (done, failed, aborted at the deadline).
 func (q *Queue) worker() {
 	defer q.wg.Done()
 	arena := wrtring.NewArena()
-	for j := range q.ch {
+	for {
+		var j *Job
+		select {
+		case <-q.ctx.Done():
+			return
+		case j = <-q.ch:
+		}
 		if q.ctx.Err() != nil {
-			// Drain deadline passed while this job sat queued.
-			q.terminal(j, StateDropped, "dropped: server shut down before the job started", 0, nil)
+			return // the drain deadline passed while j sat queued; Drain drops it
+		}
+		scenario, ok := q.jobs.Start(j)
+		if !ok {
 			continue
 		}
-		q.mu.Lock()
-		j.state = StateRunning
-		q.depth--
-		q.running++
-		scenario := j.scenario
-		q.mu.Unlock()
-
 		setup := func(n *wrtring.Network) error {
 			if journal := n.Journal(); journal != nil {
-				q.mu.Lock()
-				j.journal = journal
-				q.mu.Unlock()
+				q.jobs.Attach(j, journal)
 			}
 			return nil
 		}
 		start := time.Now()
-		res := runner.RunJob(q.ctx, runner.Job{Name: j.id, Scenario: scenario, Setup: setup}, arena)
-		elapsed := time.Since(start)
-
+		res := runner.RunJob(q.ctx, runner.Job{Name: j.ID, Scenario: scenario, Setup: setup}, arena)
+		o := Outcome{Elapsed: time.Since(start)}
 		switch {
 		case res.Err != nil && errors.Is(res.Err, context.Canceled):
-			q.terminal(j, StateDropped, "dropped: aborted at drain deadline", elapsed, nil)
+			o.State, o.Err = StateDropped, "dropped: aborted at drain deadline"
 		case res.Err != nil:
-			q.terminal(j, StateFailed, res.Err.Error(), elapsed, nil)
+			o.State, o.Err = StateFailed, res.Err.Error()
 		default:
 			data, err := marshalResult(res.Res)
 			if err != nil {
-				q.terminal(j, StateFailed, fmt.Sprintf("encoding result: %v", err), elapsed, nil)
-				continue
+				o.State, o.Err = StateFailed, fmt.Sprintf("encoding result: %v", err)
+				break
 			}
-			q.cache.Put(j.id, data)
-			q.terminal(j, StateDone, "", elapsed, &scenario)
+			q.cache.Put(j.ID, data)
+			o.State, o.Label = StateDone, scenario.Protocol.String()
 		}
-	}
-}
-
-// terminal moves a job to a terminal state and its record to the bounded
-// finished set, releasing the scenario payload.
-func (q *Queue) terminal(j *jobRecord, state State, errMsg string, elapsed time.Duration, done *wrtring.Scenario) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	switch j.state {
-	case StateQueued:
-		q.depth--
-	case StateRunning:
-		q.running--
-	}
-	j.state = state
-	j.errMsg = errMsg
-	j.elapsed = elapsed
-	j.scenario = wrtring.Scenario{}
-	// Freeze the trace count and release the recorder: it lives in the
-	// worker's arena and will be reset for the next job, so holding the
-	// pointer past this point would let Status read a different run's
-	// journal. terminal runs before the worker's next RunJob, so the
-	// snapshot is taken while the recorder still holds this job's events.
-	if j.journal != nil {
-		j.traceTotal = j.journal.Total()
-		j.journal = nil
-	}
-	switch state {
-	case StateDone:
-		q.completed++
-	case StateFailed:
-		q.failed++
-	case StateDropped:
-		q.dropped++
-	}
-	if done != nil {
-		name := done.Protocol.String()
-		h, ok := q.latency[name]
-		if !ok {
-			h = stats.NewHistogram(latencyCapMs)
-			q.latency[name] = h
-		}
-		h.Add(elapsed.Milliseconds())
-	}
-	delete(q.inflight, j.id)
-	close(j.done)
-	// A job can retire under an ID that already has a finished record: a
-	// duplicate submission re-admitted the spec after its cached result was
-	// evicted. Replace the record without a second FIFO entry, otherwise
-	// the first trim of the duplicated ID would delete the live record and
-	// leave a dangling order entry.
-	if _, exists := q.finished[j.id]; !exists {
-		q.finishedOrder = append(q.finishedOrder, j.id)
-	}
-	q.finished[j.id] = j
-	for len(q.finishedOrder) > q.finishedCap {
-		old := q.finishedOrder[0]
-		q.finishedOrder = q.finishedOrder[1:]
-		delete(q.finished, old)
+		// Finish runs before this worker's next RunJob, so the journal
+		// snapshot it takes still holds this job's events.
+		q.jobs.Finish(j, o)
 	}
 }

@@ -66,7 +66,7 @@ func TestQueueRunsAndCaches(t *testing.T) {
 	if cs := cache.Stats(); cs.Hits != 1 {
 		t.Fatalf("cache stats %+v", cs)
 	}
-	if ls := q.LatencySnapshot(); len(ls) != 1 || ls[0].Protocol != "wrt-ring" || ls[0].N != 1 {
+	if ls := q.LatencySnapshot(); len(ls) != 1 || ls[0].Label != "wrt-ring" || ls[0].N != 1 {
 		t.Fatalf("latency snapshot %+v", ls)
 	}
 }

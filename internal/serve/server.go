@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -19,7 +18,8 @@ type Config struct {
 	// CacheEntries / CacheBytes bound the result cache (see NewCache).
 	CacheEntries int
 	CacheBytes   int64
-	// MaxBatch bounds scenarios per POST /v1/runs request (<= 0: 256).
+	// MaxBatch bounds scenarios per POST /v1/runs request
+	// (<= 0: DefaultMaxBatch).
 	MaxBatch int
 	// MaxBodyBytes bounds the request body (<= 0: 8 MiB).
 	MaxBodyBytes int64
@@ -87,7 +87,7 @@ type Server struct {
 // New builds a Server and starts its queue workers.
 func New(cfg Config) *Server {
 	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 256
+		cfg.MaxBatch = DefaultMaxBatch
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = DefaultRetryAfter
@@ -112,12 +112,10 @@ func New(cfg Config) *Server {
 		}),
 	}
 	s.batches = NewBatches(BatchOptions{
-		Backend:      queueBackend{s.queue},
+		Backend:      s.queue,
 		MaxPoints:    cfg.MaxBatchPoints,
 		MaxBatches:   cfg.MaxBatches,
 		PollInterval: cfg.BatchPollInterval,
-		Retryable:    func(err error) bool { return errors.Is(err, ErrQueueFull) },
-		Fatal:        func(err error) bool { return errors.Is(err, ErrDraining) },
 		Logf:         cfg.Logf,
 	})
 	mux := s.surface.Mux()
@@ -172,8 +170,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		MaxBatch:   s.maxBatch,
 		RetryAfter: s.retryAfter,
 		Submit:     s.queue.Submit,
-		Fatal:      func(err error) bool { return errors.Is(err, ErrDraining) },
-		Reject:     func(err error) bool { return errors.Is(err, ErrQueueFull) },
 	})
 }
 
@@ -202,14 +198,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		ElapsedMs: st.Elapsed.Milliseconds(), Error: st.Err,
 	}
 	if st.State == StateDone {
-		if data, ok := s.queue.Result(id); ok {
+		if data, err := s.queue.JobResult(r.Context(), id); err == nil {
 			resp.Result = data
 		} else {
 			// The job finished but its bytes were evicted under cache
 			// pressure before this read. The state stays "done" (the work
 			// did complete); the hint tells the client how to recover —
 			// resubmitting re-runs the spec deterministically.
-			resp.Error = "result evicted from cache; resubmit the scenario to recompute"
+			resp.Error = err.Error()
 		}
 	}
 	httpx.WriteJSON(w, http.StatusOK, resp)
@@ -281,7 +277,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m.Metric("wrtserved_batches_created_total", bsStats.Created, "batches accepted by POST /v1/batches")
 	m.Metric("wrtserved_batches_active", bsStats.Active, "retained batches still running")
 	for _, ls := range s.queue.LatencySnapshot() {
-		label := fmt.Sprintf(`protocol=%q`, ls.Protocol)
+		label := fmt.Sprintf(`protocol=%q`, ls.Label)
 		m.Help("wrtserved_job_latency_ms", "completed-job wall-clock latency (internal/stats histogram)")
 		m.Labeled("wrtserved_job_latency_ms_count", label, ls.N)
 		m.Labeled("wrtserved_job_latency_ms_mean", label, fmt.Sprintf("%.3f", ls.MeanMs))

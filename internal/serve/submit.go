@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -25,6 +26,9 @@ import (
 // cluster.Coordinator.Submit both satisfy it).
 type BatchSubmitter func(wrtring.Scenario) (id, outcome string, err error)
 
+// DefaultMaxBatch bounds scenarios per POST /v1/runs request.
+const DefaultMaxBatch = 256
+
 // BatchSubmitOptions parameterise HandleBatchSubmit over the two servers.
 type BatchSubmitOptions struct {
 	// MaxBatch bounds scenarios per request (413 past it).
@@ -34,17 +38,14 @@ type BatchSubmitOptions struct {
 	RetryAfter time.Duration
 	// Submit admits one parsed scenario.
 	Submit BatchSubmitter
-	// Fatal classifies admission errors that stop the whole batch (server
-	// draining, no live workers): items already admitted keep their IDs,
-	// the current and remaining items are marked rejected unattempted, and
-	// the response is 503 + Retry-After.
-	Fatal func(error) bool
-	// Reject classifies per-item backpressure (queue or shard full): the
-	// item is rejected, later items are still attempted.
-	Reject func(error) bool
 }
 
 // HandleBatchSubmit decodes, validates and admits a POST /v1/runs batch.
+// An admission error matching ErrDraining stops the whole batch: items
+// already admitted keep their IDs, the current and remaining items are
+// marked rejected unattempted, and the response is 503 + Retry-After. One
+// matching ErrQueueFull rejects just its item; later items are still
+// attempted.
 //
 // Per-item outcomes always reach the client: the response body is the full
 // SubmitResponse even when the overall status is 400 (invalid items), 429
@@ -91,7 +92,7 @@ admit:
 		switch {
 		case err == nil:
 			resp.Runs[i] = SubmitRun{ID: id, Status: outcome}
-		case opts.Fatal(err):
+		case errors.Is(err, ErrDraining):
 			// Admission shut down mid-batch. Earlier items may already be
 			// admitted and their IDs must survive to the client; this item
 			// and the rest are rejected unattempted, and 503 + Retry-After
@@ -102,7 +103,7 @@ admit:
 			status = http.StatusServiceUnavailable
 			rejected = true
 			break admit
-		case opts.Reject(err):
+		case errors.Is(err, ErrQueueFull):
 			resp.Runs[i] = SubmitRun{ID: id, Status: "rejected", Error: err.Error()}
 			rejected = true
 		default:

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -34,8 +33,6 @@ func postBatch(t *testing.T, submit BatchSubmitter, scenarios []wrtring.Scenario
 		MaxBatch:   256,
 		RetryAfter: 2 * time.Second,
 		Submit:     submit,
-		Fatal:      func(err error) bool { return errors.Is(err, ErrDraining) },
-		Reject:     func(err error) bool { return errors.Is(err, ErrQueueFull) },
 	})
 	return w
 }
@@ -126,8 +123,6 @@ func TestBatchSubmitRetryAfterOnMixedBatch(t *testing.T) {
 		MaxBatch:   256,
 		RetryAfter: 2 * time.Second,
 		Submit:     submit,
-		Fatal:      func(err error) bool { return errors.Is(err, ErrDraining) },
-		Reject:     func(err error) bool { return errors.Is(err, ErrQueueFull) },
 	})
 
 	if w.Code != http.StatusBadRequest {

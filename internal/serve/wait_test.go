@@ -165,6 +165,55 @@ func TestShutdownReleasesHeldWait(t *testing.T) {
 	}
 }
 
+// TestShutdownReleasesBatchStream: an open result stream on a running batch
+// ends when the daemon releases its waits, so http.Server.Shutdown returns
+// promptly instead of waiting out the batch.
+func TestShutdownReleasesBatchStream(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueCapacity: 4})
+	arrived := make(chan struct{}, 1)
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/results") {
+			arrived <- struct{}{}
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	ts.Config.RegisterOnShutdown(srv.ReleaseWaits)
+	ts.Start()
+	defer ts.Close()
+	defer srv.Drain(10 * time.Millisecond)
+
+	sub, err := NewClient(ts.URL).SubmitBatch(context.Background(), sweep.Grid{
+		Base: longScenario(1),
+		Axes: []sweep.Axis{sweep.AxisSeeds([]uint64{1, 2})},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := make(chan error, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/batches/" + sub.ID + "/results")
+		if err == nil {
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		streamed <- err
+	}()
+	<-arrived
+
+	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := ts.Config.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("shutdown took %v with a batch stream open, want prompt", took)
+	}
+	if err := <-streamed; err != nil {
+		t.Fatalf("released stream: %v", err)
+	}
+}
+
 // TestBatchLeavesNoGoroutines: a finished batch holds no goroutine — its
 // feeder and every shard waiter return with the last completion — and the
 // drained manager reports clean.
