@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race race check bench-smoke fuzz bench bench-baseline bench-check bench-grid bench-trajectory cover examples experiments serve cluster-smoke soak-smoke persist-smoke clean
+.PHONY: all build vet test race check bench-smoke fleet-smoke fuzz bench bench-baseline bench-check bench-grid bench-trajectory cover examples experiments serve clean
 
 all: build vet test
 
@@ -13,23 +13,28 @@ vet:
 test:
 	$(GO) test ./...
 
-test-race:
-	$(GO) test -race ./sweep ./internal/sim
-
 # race runs the whole module under the race detector — the parallel runner
 # makes every package's batch paths multi-threaded, so all of them count.
 race:
 	$(GO) test -race ./...
 
 # check is the full pre-merge gate: compile, static analysis, tests, races,
-# and the end-to-end benchmark's own tests.
-check: build vet test race bench-smoke
+# the end-to-end benchmark's own tests, and the fleet of real daemons.
+check: build vet test race bench-smoke fleet-smoke
 
 # bench-smoke compiles and tests benchmarks/wrtbench. It is a Go module of its
 # own, so the root build and test never see it, yet it calls the serve,
 # cluster, store and runner APIs; -short skips its traced smoke runs.
 bench-smoke:
 	cd benchmarks/wrtbench && GOWORK=off $(GO) test -short ./...
+
+# fleet-smoke boots store-backed wrtserved workers behind a wrtcoord
+# coordinator as separate processes and runs a 300-point grid through them:
+# byte-identical to the in-process CSV on every pass, fully cached on
+# resubmission, served from disk after a full restart, and handed to a
+# worker joining at runtime (see README "Running a cluster").
+fleet-smoke:
+	scripts/fleet-smoke.sh
 
 # fuzz runs each JSON-decoder fuzz target for FUZZTIME (go requires one
 # -fuzz pattern per invocation). New inputs that trip a failure are written
@@ -83,27 +88,6 @@ experiments:
 PORT ?= 8080
 serve:
 	$(GO) run ./cmd/wrtserved -addr :$(PORT)
-
-# cluster-smoke boots a wrtcoord coordinator + 3 wrtserved workers, runs a
-# tiny sweep grid through the cluster twice, and asserts the second pass is
-# served entirely from the fleet's cache shards (see README "Running a
-# cluster").
-cluster-smoke:
-	scripts/cluster-smoke.sh
-
-# soak-smoke boots a coordinator + 2 workers, runs a grid through
-# POST /v1/batches twice (second pass must be fully cache-served), then puts
-# the cluster under a 10s wrtsoak load run. The soak summary JSON lands in
-# soak-summary.json (override with SOAK_SUMMARY=...).
-soak-smoke:
-	scripts/soak-smoke.sh
-
-# persist-smoke exercises the durable result store through the binaries:
-# a full-fleet restart must serve the resubmitted grid from the -store-dir
-# shards with zero new simulations, and a worker joining at runtime must be
-# handed its key range by the rebalancer (see README "Durable cache").
-persist-smoke:
-	scripts/persist-smoke.sh
 
 clean:
 	$(GO) clean ./...

@@ -7,9 +7,10 @@
 //	wrtsweep -over seed -values 1,2,3,4,5 -n 16 -load saturate
 //	wrtsweep -over quota -values 1:1,2:2,4:2 -n 12
 //
-// With -server the grid is executed remotely against a wrtserved instance
-// or a wrtcoord cluster (both speak the same /v1/runs API), so repeated
-// sweeps hit the service's content-addressed cache instead of re-simulating:
+// With -server the grid is submitted as one POST /v1/batches to a wrtserved
+// instance or a wrtcoord cluster (both speak the same batch API), so
+// repeated sweeps hit the service's content-addressed cache instead of
+// re-simulating:
 //
 //	wrtsweep -over n -values 5,10,20,50 -server http://localhost:8090
 package main
@@ -17,14 +18,12 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	wrtring "github.com/rtnet/wrtring"
 	"github.com/rtnet/wrtring/internal/serve"
@@ -45,13 +44,8 @@ func main() {
 		"parallel simulation workers; 1 reproduces the serial run byte-for-byte")
 	progress := flag.Bool("progress", false, "report per-run completion on stderr")
 	server := flag.String("server", "",
-		"run the sweep remotely against a wrtserved or wrtcoord URL instead of in-process")
-	batch := flag.Bool("batch", false,
-		"with -server: submit the whole grid as one POST /v1/batches and stream results, instead of per-run submissions")
+		"run the sweep remotely, as one batch, against a wrtserved or wrtcoord URL instead of in-process")
 	flag.Parse()
-	if *batch && *server == "" {
-		fail("-batch requires -server")
-	}
 
 	base := wrtring.Scenario{N: *n, L: *l, K: *k, Seed: *seed, Duration: *dur}
 	switch *load {
@@ -70,8 +64,8 @@ func main() {
 
 	// The flags build a serializable grid spec, and the points expand from
 	// it — the same spec and the same expansion the batch API uses
-	// server-side, so -batch, -server and local runs are provably the same
-	// point set in the same order.
+	// server-side, so -server and local runs are provably the same point set
+	// in the same order.
 	var axis sweep.Axis
 	fields := strings.Split(*values, ",")
 	switch *over {
@@ -141,12 +135,11 @@ func main() {
 		}
 	}
 	var outs []sweep.Outcome
-	switch {
-	case *batch:
-		outs = runBatch(*server, grid, pts, onDone)
-	case *server != "":
-		outs = runRemote(*server, pts, onDone)
-	default:
+	if *server != "" {
+		if outs, err = runBatch(context.Background(), *server, grid, pts, onDone); err != nil {
+			fail("%v", err)
+		}
+	} else {
 		outs = sweep.RunProgress(pts, *jobs, onDone)
 	}
 	fmt.Print(sweep.CSV(outs))
@@ -157,90 +150,20 @@ func main() {
 	}
 }
 
-// runRemote executes the sweep against a scenario service — a single
-// wrtserved or a wrtcoord cluster, which speak the same /v1/runs protocol.
-// Points are submitted as one batch (rejected items are retried after the
-// service's backpressure hint), then awaited in input order with held
-// status reads.
-// Determinism makes the remote results byte-identical to local execution,
-// so the CSV is the same either way — repeated grids just stop costing
-// simulation time once the service's cache holds them.
-func runRemote(serverURL string, pts []sweep.Point, onDone func(done, total int, o sweep.Outcome)) []sweep.Outcome {
-	client := serve.NewClient(serverURL)
-	ctx := context.Background()
-
-	outs := make([]sweep.Outcome, len(pts))
-	ids := make([]string, len(pts))
-	scenarios := make([]wrtring.Scenario, len(pts))
-	for i, p := range pts {
-		scenarios[i] = p.Scenario
-	}
-	// Bounded, jittered retry honouring the service's Retry-After hint — the
-	// shared policy in serve.RetryPolicy, so this client and wrtsoak back off
-	// identically instead of hot-looping a saturated service.
-	resp, err := client.SubmitScenariosRetry(ctx, scenarios, serve.RetryPolicy{})
-	if err != nil {
-		fail("submitting to %s: %v", serverURL, err)
-	}
-	for i, run := range resp.Runs {
-		switch run.Status {
-		case "rejected":
-			outs[i].Point = pts[i]
-			outs[i].Err = fmt.Errorf("rejected after retries: %s", run.Error)
-		case "invalid":
-			outs[i].Point = pts[i]
-			outs[i].Err = errors.New(run.Error)
-		default:
-			ids[i] = run.ID
-		}
-	}
-
-	done := 0
-	for idx, p := range pts {
-		outs[idx].Point = p
-		if ids[idx] == "" {
-			continue // invalid or rejected at submission; Err already set
-		}
-		st, err := client.Wait(ctx, ids[idx], 20*time.Millisecond)
-		switch {
-		case err != nil:
-			outs[idx].Err = err
-		case st.Status != "done":
-			outs[idx].Err = fmt.Errorf("remote run %s: %s", st.Status, st.Error)
-		case st.Result == nil:
-			outs[idx].Err = fmt.Errorf("remote run done but result unavailable: %s", st.Error)
-		default:
-			var res wrtring.Result
-			if err := json.Unmarshal(st.Result, &res); err != nil {
-				outs[idx].Err = fmt.Errorf("decoding remote result: %w", err)
-			} else {
-				outs[idx].Result = &res
-			}
-		}
-		done++
-		if onDone != nil {
-			onDone(done, len(pts), outs[idx])
-		}
-	}
-	return outs
-}
-
 // runBatch submits the whole grid spec as one POST /v1/batches and streams
 // the results back as NDJSON. The server expands the identical spec with the
 // identical expansion code (sweep.Grid.Points), so the shard indices line up
 // one-to-one with the locally expanded pts — results are reassembled into
 // input order as the completion-ordered stream arrives. Determinism keeps
 // the bytes identical to a local run, so the CSV is the same either way.
-func runBatch(serverURL string, grid sweep.Grid, pts []sweep.Point, onDone func(done, total int, o sweep.Outcome)) []sweep.Outcome {
+func runBatch(ctx context.Context, serverURL string, grid sweep.Grid, pts []sweep.Point, onDone func(done, total int, o sweep.Outcome)) ([]sweep.Outcome, error) {
 	client := serve.NewClient(serverURL)
-	ctx := context.Background()
-
 	sub, err := client.SubmitBatch(ctx, grid)
 	if err != nil {
-		fail("submitting batch to %s: %v", serverURL, err)
+		return nil, fmt.Errorf("submitting batch to %s: %w", serverURL, err)
 	}
 	if sub.Expanded != int64(len(pts)) {
-		fail("server expanded %d points, local expansion has %d — version skew between client and server",
+		return nil, fmt.Errorf("server expanded %d points, local expansion has %d — version skew between client and server",
 			sub.Expanded, len(pts))
 	}
 
@@ -274,12 +197,12 @@ func runBatch(serverURL string, grid sweep.Grid, pts []sweep.Point, onDone func(
 		return nil
 	})
 	if err != nil {
-		fail("streaming batch %s: %v", sub.ID, err)
+		return nil, fmt.Errorf("streaming batch %s: %w", sub.ID, err)
 	}
 	if n != len(pts) {
-		fail("batch stream ended after %d of %d shards", n, len(pts))
+		return nil, fmt.Errorf("batch stream ended after %d of %d shards", n, len(pts))
 	}
-	return outs
+	return outs, nil
 }
 
 func fail(format string, args ...any) {

@@ -41,9 +41,8 @@ func (c *Coordinator) JobResult(ctx context.Context, id string) (json.RawMessage
 // a dead fleet or a draining coordinator ends feeding.
 func (c *Coordinator) newBatches() *serve.Batches {
 	return serve.NewBatches(serve.BatchOptions{
-		Backend:      c,
-		MaxPoints:    c.cfg.MaxBatchPoints,
-		PollInterval: c.cfg.BatchPollInterval,
-		Logf:         c.logf,
+		Backend:   c,
+		MaxPoints: c.cfg.MaxBatchPoints,
+		Logf:      c.logf,
 	})
 }

@@ -34,7 +34,7 @@ func waitClusterBatch(t *testing.T, c *serve.Client, id, want string) *serve.Bat
 // submission of the same spec completes with zero new simulations — every
 // shard answered from the fleet's composed cache.
 func TestClusterBatchEndToEnd(t *testing.T) {
-	f := newFleet(t, 3, Config{BatchPollInterval: 2 * time.Millisecond})
+	f := newFleet(t, 3, Config{})
 
 	grid := sweep.Grid{
 		Base: fastScenario(1),
@@ -121,7 +121,7 @@ func TestClusterBatchEndToEnd(t *testing.T) {
 // still closes the books — expanded = completed + failed + dropped +
 // rejected — and the partial results stay streamable.
 func TestClusterBatchDrainConservation(t *testing.T) {
-	f := newFleet(t, 2, Config{MaxPerWorker: 2, BatchPollInterval: 2 * time.Millisecond})
+	f := newFleet(t, 2, Config{MaxPerWorker: 2})
 
 	grid := sweep.Grid{
 		Base: slowScenario(1),

@@ -51,11 +51,9 @@ type Config struct {
 	// RetryAfter is the backpressure hint on 429/503 responses
 	// (<= 0: serve.DefaultRetryAfter).
 	RetryAfter time.Duration
-	// MaxBatchPoints / BatchPollInterval size the /v1/batches subsystem;
-	// they mirror serve.Config (<= 0: serve defaults). BatchPollInterval
-	// paces the feeder's retry of a shard whose worker is saturated.
-	MaxBatchPoints    int64
-	BatchPollInterval time.Duration
+	// MaxBatchPoints bounds one /v1/batches grid's expansion
+	// (<= 0: serve.DefaultMaxBatchPoints).
+	MaxBatchPoints int64
 	// HTTPTimeout bounds each inbound API request end to end
 	// (<= 0: httpx.DefaultRequestTimeout); distinct from RequestTimeout,
 	// which bounds the coordinator's own calls to workers. Debug endpoints

@@ -50,11 +50,18 @@ var (
 	ErrTooManyBatches = errors.New("serve: too many running batches")
 )
 
-// Batch defaults.
+// Batch limits.
 const (
+	// DefaultMaxBatchPoints bounds one grid's expansion unless
+	// BatchOptions.MaxPoints says otherwise.
 	DefaultMaxBatchPoints = 100_000
-	DefaultMaxBatches     = 64
-	DefaultBatchPoll      = 10 * time.Millisecond
+	// DefaultMaxBatches bounds retained batches, running + finished.
+	// Finished batches age out FIFO past it.
+	DefaultMaxBatches = 64
+	// DefaultBatchPoll paces the feeder's retry of a shard the engine
+	// turned away with ErrQueueFull. Shard completion is not polled: each
+	// admitted shard waits on its job's terminal signal.
+	DefaultBatchPoll = 10 * time.Millisecond
 )
 
 // BatchOptions parameterise a Batches manager.
@@ -62,13 +69,6 @@ type BatchOptions struct {
 	Backend BatchBackend
 	// MaxPoints bounds one grid's expansion (<= 0: DefaultMaxBatchPoints).
 	MaxPoints int64
-	// MaxBatches bounds retained batches, running + finished
-	// (<= 0: DefaultMaxBatches). Finished batches age out FIFO past it.
-	MaxBatches int
-	// PollInterval paces the feeder's retry of a shard the engine turned
-	// away with ErrQueueFull (<= 0: DefaultBatchPoll). Shard completion is
-	// not polled: each admitted shard waits on its job's terminal signal.
-	PollInterval time.Duration
 	// Logf receives operational events (nil: log.Printf).
 	Logf func(format string, args ...any)
 }
@@ -91,12 +91,6 @@ type Batches struct {
 func NewBatches(opts BatchOptions) *Batches {
 	if opts.MaxPoints <= 0 {
 		opts.MaxPoints = DefaultMaxBatchPoints
-	}
-	if opts.MaxBatches <= 0 {
-		opts.MaxBatches = DefaultMaxBatches
-	}
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = DefaultBatchPoll
 	}
 	if opts.Logf == nil {
 		opts.Logf = log.Printf
@@ -203,7 +197,7 @@ func (bs *Batches) Create(g sweep.Grid) (*Batch, error) {
 // It reports false when the bound cannot be met because every retained
 // batch is still running.
 func (bs *Batches) pruneLocked() bool {
-	for len(bs.order) >= bs.opts.MaxBatches {
+	for len(bs.order) >= DefaultMaxBatches {
 		evicted := false
 		for i, id := range bs.order {
 			if b := bs.byID[id]; b.finished() {
@@ -289,7 +283,7 @@ func (bs *Batches) Stats() BatchesStats {
 }
 
 // feed walks the grid in expansion order, admitting one shard at a time.
-// Backpressure (ErrQueueFull) backs off PollInterval and retries the same
+// Backpressure (ErrQueueFull) backs off DefaultBatchPoll and retries the same
 // shard — the server-side analogue of the client honouring Retry-After —
 // so a grid larger than the queue capacity feeds at exactly the rate the
 // queue drains. Closed admission (ErrDraining) and cancellation reject the
@@ -366,7 +360,7 @@ func (bs *Batches) feedOne(b *Batch, i int64, s wrtring.Scenario) error {
 			select {
 			case <-b.ctx.Done():
 				return errors.New("batch cancelled before the shard was submitted")
-			case <-time.After(bs.opts.PollInterval):
+			case <-time.After(DefaultBatchPoll):
 			}
 		default:
 			// Per-shard failure (e.g. an unencodable scenario): reject just

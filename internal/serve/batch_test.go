@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	wrtring "github.com/rtnet/wrtring"
+	"github.com/rtnet/wrtring/internal/httpx"
 	"github.com/rtnet/wrtring/sweep"
 )
 
@@ -47,7 +49,7 @@ func waitBatch(t *testing.T, c *Client, id string, want string) *BatchStatusResp
 // same grid run locally via sweep.Run, and a second submission of the same
 // spec completes with zero new simulations — every shard a cache hit.
 func TestBatchEndToEnd(t *testing.T) {
-	srv := New(Config{Workers: 4, QueueCapacity: 32, BatchPollInterval: 2 * time.Millisecond})
+	srv := New(Config{Workers: 4, QueueCapacity: 32})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Drain(time.Minute)
@@ -138,7 +140,7 @@ func TestBatchEndToEnd(t *testing.T) {
 // must still complete — the feeder retries ErrQueueFull at the poll
 // interval, feeding exactly as fast as the queue drains.
 func TestBatchFeedsThroughBackpressure(t *testing.T) {
-	srv := New(Config{Workers: 2, QueueCapacity: 2, BatchPollInterval: 2 * time.Millisecond})
+	srv := New(Config{Workers: 2, QueueCapacity: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Drain(time.Minute)
@@ -160,7 +162,7 @@ func TestBatchFeedsThroughBackpressure(t *testing.T) {
 // expanded = completed + failed + dropped + rejected, and the partial
 // results must stay visible on the status and results endpoints.
 func TestBatchDrainConservation(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueCapacity: 2, BatchPollInterval: 2 * time.Millisecond})
+	srv := New(Config{Workers: 1, QueueCapacity: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -217,7 +219,7 @@ func TestBatchDrainConservation(t *testing.T) {
 // TestBatchCancel: DELETE stops feeding; unsubmitted shards are rejected,
 // admitted ones drain, and the conservation law still closes the books.
 func TestBatchCancel(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueCapacity: 1, BatchPollInterval: 2 * time.Millisecond})
+	srv := New(Config{Workers: 1, QueueCapacity: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Drain(time.Minute)
@@ -260,8 +262,7 @@ func TestBatchCancel(t *testing.T) {
 func TestBatchStreamOutlivesHTTPTimeout(t *testing.T) {
 	srv := New(Config{
 		Workers: 1, QueueCapacity: 8,
-		RequestTimeout:    50 * time.Millisecond,
-		BatchPollInterval: 2 * time.Millisecond,
+		RequestTimeout: 50 * time.Millisecond,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -298,7 +299,7 @@ func TestBatchStreamOutlivesHTTPTimeout(t *testing.T) {
 
 // TestBatchSSE: Accept: text/event-stream switches the framing.
 func TestBatchSSE(t *testing.T) {
-	srv := New(Config{Workers: 2, QueueCapacity: 8, BatchPollInterval: 2 * time.Millisecond})
+	srv := New(Config{Workers: 2, QueueCapacity: 8})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Drain(time.Minute)
@@ -371,6 +372,109 @@ func TestBatchValidationAndLimits(t *testing.T) {
 	}
 }
 
+// fullBackend is an engine that never has room: every Submit answers
+// ErrQueueFull, so a batch's feeder keeps retrying its first shard and the
+// batch stays running until it is cancelled.
+type fullBackend struct{}
+
+func (fullBackend) Submit(wrtring.Scenario) (string, string, error) { return "", "", ErrQueueFull }
+
+func (fullBackend) Await(context.Context, string) (JobStatus, bool) { return JobStatus{}, false }
+
+func (fullBackend) JobResult(context.Context, string) (json.RawMessage, error) {
+	return nil, errors.New("fullBackend runs nothing")
+}
+
+// waitFinished blocks on the batch's wake channel until every shard is
+// terminal.
+func waitFinished(t *testing.T, b *Batch) {
+	t.Helper()
+	timeout := time.After(30 * time.Second)
+	for cursor := 0; ; {
+		_, ok, wake, finished := b.lineAt(cursor)
+		switch {
+		case ok:
+			cursor++
+		case finished:
+			return
+		default:
+			select {
+			case <-wake:
+			case <-timeout:
+				t.Fatalf("batch %s never finished: %+v", b.ID(), b.Status())
+			}
+		}
+	}
+}
+
+// TestBatchRetentionBound: DefaultMaxBatches running batches fill the
+// retention set, so the next Create fails with ErrTooManyBatches and
+// POST /v1/batches answers 429 with Retry-After. Once batches finish, a
+// Create evicts only the oldest finished one and keeps every running batch.
+func TestBatchRetentionBound(t *testing.T) {
+	bs := NewBatches(BatchOptions{Backend: fullBackend{}})
+	defer bs.Drain(time.Minute)
+	surface := httpx.NewSurface(httpx.Config{})
+	MountBatchAPI(surface, bs, DefaultRetryAfter)
+	ts := httptest.NewServer(surface.Handler())
+	defer ts.Close()
+
+	grid := sweep.Grid{Base: fastScenario(1), Axes: []sweep.Axis{sweep.AxisSeeds([]uint64{1, 2})}}
+	ids := make([]string, DefaultMaxBatches)
+	for i := range ids {
+		b, err := bs.Create(grid)
+		if err != nil {
+			t.Fatalf("batch %d of %d: %v", i+1, DefaultMaxBatches, err)
+		}
+		ids[i] = b.ID()
+	}
+	if _, err := bs.Create(grid); !errors.Is(err, ErrTooManyBatches) {
+		t.Fatalf("Create with %d running batches: err %v, want ErrTooManyBatches", DefaultMaxBatches, err)
+	}
+	body, err := sweep.EncodeGrid(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/batches", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("POST /v1/batches with %d running batches: HTTP %d, Retry-After %q; want 429 with a hint",
+			DefaultMaxBatches, resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+
+	// Cancel the two oldest: their pending shards are rejected and both
+	// finish.
+	for _, id := range ids[:2] {
+		b, ok := bs.Get(id)
+		if !ok || !bs.Cancel(id) {
+			t.Fatalf("batch %s not retained", id)
+		}
+		waitFinished(t, b)
+		if st := b.Status(); st.Rejected != st.Expanded {
+			t.Fatalf("cancelled batch %s: %+v, want every shard rejected", id, st)
+		}
+	}
+
+	b, err := bs.Create(grid)
+	if err != nil {
+		t.Fatalf("Create with two finished batches retained: %v", err)
+	}
+	if _, ok := bs.Get(ids[0]); ok {
+		t.Fatalf("oldest finished batch %s still retained", ids[0])
+	}
+	for _, id := range append(ids[1:], b.ID()) {
+		if _, ok := bs.Get(id); !ok {
+			t.Fatalf("batch %s evicted; only %s should have gone", id, ids[0])
+		}
+	}
+	if got := bs.Stats().Active; got != DefaultMaxBatches-1 {
+		t.Fatalf("%d running batches retained, want %d", got, DefaultMaxBatches-1)
+	}
+}
+
 // TestSubmitScenariosRetry: rejected items are resubmitted after the
 // server's Retry-After hint (jittered, capped) instead of hot-looping.
 func TestSubmitScenariosRetry(t *testing.T) {
@@ -404,8 +508,6 @@ func TestSubmitScenariosRetry(t *testing.T) {
 
 	var slept []time.Duration
 	policy := RetryPolicy{
-		MaxAttempts: 4,
-		Jitter:      0.2,
 		sleep: func(_ context.Context, d time.Duration) error {
 			slept = append(slept, d)
 			return nil
@@ -440,7 +542,7 @@ func TestSubmitScenariosRetry(t *testing.T) {
 	}
 }
 
-// TestSubmitScenariosRetryGivesUp: MaxAttempts bounds the rounds and the
+// TestSubmitScenariosRetryGivesUp: retryAttempts bounds the rounds and the
 // final rejected statuses survive to the caller.
 func TestSubmitScenariosRetryGivesUp(t *testing.T) {
 	var calls int
@@ -461,16 +563,15 @@ func TestSubmitScenariosRetryGivesUp(t *testing.T) {
 	defer ts.Close()
 
 	policy := RetryPolicy{
-		MaxAttempts: 3,
-		sleep:       func(context.Context, time.Duration) error { return nil },
+		sleep: func(context.Context, time.Duration) error { return nil },
 	}
 	client := NewClient(ts.URL)
 	resp, err := client.SubmitScenariosRetry(context.Background(), []wrtring.Scenario{fastScenario(1)}, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 3 {
-		t.Fatalf("%d rounds, want 3", calls)
+	if calls != retryAttempts {
+		t.Fatalf("%d rounds, want %d", calls, retryAttempts)
 	}
 	if resp.Runs[0].Status != "rejected" {
 		t.Fatalf("final status %q, want rejected", resp.Runs[0].Status)

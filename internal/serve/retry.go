@@ -19,36 +19,28 @@ import (
 // does not re-converge on the same instant, and lets the caller's context
 // bound the whole affair.
 
-// RetryPolicy shapes SubmitScenariosRetry's backoff.
+// Retry shape for SubmitScenariosRetry.
+const (
+	// retryAttempts bounds submission rounds, the first included.
+	retryAttempts = 8
+	// retryMaxWait caps the accepted Retry-After hint: a server asking for
+	// an hour does not get to park the client. Without a hint the client
+	// waits DefaultRetryAfter.
+	retryMaxWait = 30 * time.Second
+	// retryJitter is the random fraction added to each wait, in
+	// [0, retryJitter).
+	retryJitter = 0.2
+)
+
+// RetryPolicy is SubmitScenariosRetry's policy argument. Callers pass the
+// zero value: the retry shape is fixed by the constants above, and the
+// unexported sleep hook lets tests skip the waits.
 type RetryPolicy struct {
-	// MaxAttempts bounds submission rounds, the first included (<= 0: 8).
-	MaxAttempts int
-	// Backoff is the wait when the server sends no Retry-After hint
-	// (<= 0: DefaultRetryAfter).
-	Backoff time.Duration
-	// MaxBackoff caps the accepted hint — a server asking for an hour does
-	// not get to park the client (<= 0: 30 s).
-	MaxBackoff time.Duration
-	// Jitter is the random fraction added to each wait, in [0, Jitter)
-	// (< 0: none; 0: 0.2).
-	Jitter float64
 	// sleep is swapped in tests; nil uses a context-aware timer.
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 8
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = DefaultRetryAfter
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 30 * time.Second
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.2
-	}
 	if p.sleep == nil {
 		p.sleep = func(ctx context.Context, d time.Duration) error {
 			t := time.NewTimer(d)
@@ -64,22 +56,16 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// wait computes one backoff interval from the response headers.
-func (p RetryPolicy) wait(h http.Header) time.Duration {
-	d := RetryAfter(h, p.Backoff)
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	if p.Jitter > 0 {
-		d += time.Duration(rand.Float64() * p.Jitter * float64(d))
-	}
-	return d
+// retryWait computes one backoff interval from the response headers.
+func retryWait(h http.Header) time.Duration {
+	d := min(RetryAfter(h, DefaultRetryAfter), retryMaxWait)
+	return d + time.Duration(rand.Float64()*retryJitter*float64(d))
 }
 
 // SubmitScenariosRetry submits scenarios like SubmitScenarios, but items
 // rejected with backpressure (429 queue/shard full, 503 draining) are
 // resubmitted after the server's Retry-After hint (jittered, capped) until
-// they are accepted, MaxAttempts rounds pass, or ctx expires. The returned
+// they are accepted, retryAttempts rounds pass, or ctx expires. The returned
 // response is in the original scenario order; items still rejected when
 // retries run out keep their final "rejected" status for the caller to
 // report. Transport errors abort immediately.
@@ -118,11 +104,11 @@ func (c *Client) SubmitScenariosRetry(ctx context.Context, scenarios []wrtring.S
 				rejected = append(rejected, pending[k])
 			}
 		}
-		if len(rejected) == 0 || attempt >= p.MaxAttempts {
+		if len(rejected) == 0 || attempt >= retryAttempts {
 			return &final, nil
 		}
 		pending = rejected
-		if err := p.sleep(ctx, p.wait(header)); err != nil {
+		if err := p.sleep(ctx, retryWait(header)); err != nil {
 			// Context expired mid-backoff; the partial response still tells
 			// the caller which items were accepted before the deadline.
 			return &final, err

@@ -38,11 +38,6 @@ type Config struct {
 	// MaxBatchPoints bounds one batch grid's expansion
 	// (<= 0: DefaultMaxBatchPoints).
 	MaxBatchPoints int64
-	// MaxBatches bounds retained batches (<= 0: DefaultMaxBatches).
-	MaxBatches int
-	// BatchPollInterval paces the batch feeder's retry of a shard the full
-	// queue turned away (<= 0: DefaultBatchPoll).
-	BatchPollInterval time.Duration
 	// RetryAfter is the backpressure hint on 429/503 responses
 	// (<= 0: DefaultRetryAfter).
 	RetryAfter time.Duration
@@ -112,11 +107,9 @@ func New(cfg Config) *Server {
 		}),
 	}
 	s.batches = NewBatches(BatchOptions{
-		Backend:      s.queue,
-		MaxPoints:    cfg.MaxBatchPoints,
-		MaxBatches:   cfg.MaxBatches,
-		PollInterval: cfg.BatchPollInterval,
-		Logf:         cfg.Logf,
+		Backend:   s.queue,
+		MaxPoints: cfg.MaxBatchPoints,
+		Logf:      cfg.Logf,
 	})
 	mux := s.surface.Mux()
 	mux.HandleFunc("POST /v1/runs", s.handleSubmit)
