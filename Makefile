@@ -45,6 +45,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDestSpec$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz='^FuzzFaultSpec$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmitRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzBatchRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

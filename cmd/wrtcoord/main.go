@@ -59,8 +59,8 @@ func main() {
 	var workers workerFlags
 	flag.Var(&workers, "worker", "worker as id=url (repeatable)")
 	addr := flag.String("addr", ":8090", "listen address")
-	maxPerWorker := flag.Int("max-per-worker", 32, "outstanding-job bound per worker shard")
-	maxInflight := flag.Int("max-inflight", 4, "concurrent dispatches per worker")
+	maxPerWorker := flag.Int("max-per-worker", 32, "outstanding single-run bound per worker shard (batch shards do not count)")
+	maxInflight := flag.Int("max-inflight", 4, "concurrent single-run dispatches per worker")
 	replicas := flag.Int("replicas", cluster.DefaultReplicas, "virtual nodes per worker on the hash ring")
 	poll := flag.Duration("poll", 20*time.Millisecond, "pause before asking a worker again when a held status read expires with the job still running")
 	health := flag.Duration("health", time.Second, "health-probe interval")

@@ -44,10 +44,17 @@ type fleet struct {
 
 func newFleet(t *testing.T, n int, cfg Config) *fleet {
 	t.Helper()
+	return newFleetWith(t, n, serve.Config{Workers: 2, QueueCapacity: 64}, cfg)
+}
+
+// newFleetWith is newFleet with the workers' own configuration.
+func newFleetWith(t *testing.T, n int, wcfg serve.Config, cfg Config) *fleet {
+	t.Helper()
 	f := &fleet{t: t}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("w%d", i+1)
-		srv := serve.New(serve.Config{Workers: 2, QueueCapacity: 64, WorkerID: id})
+		wcfg.WorkerID = id
+		srv := serve.New(wcfg)
 		ts := httptest.NewServer(srv.Handler())
 		f.workers = append(f.workers, srv)
 		f.servers = append(f.servers, ts)

@@ -27,13 +27,19 @@ type WorkerSpec struct {
 type Config struct {
 	// Workers is the fleet (at least one).
 	Workers []WorkerSpec
-	// MaxPerWorker bounds outstanding jobs (queued + running) per worker;
-	// submissions beyond it are rejected with 429 (<= 0: 32). This is the
-	// queue-depth-aware backpressure: a spec's shard being saturated means
-	// the cluster as a whole asks the client to back off, because cache
-	// affinity forbids spilling the spec onto an arbitrary idle worker.
+	// MaxPerWorker bounds outstanding single runs (queued + running) per
+	// worker; submissions beyond it are rejected with 429 (<= 0: 32). This
+	// is the queue-depth-aware backpressure: a spec's shard being saturated
+	// means the cluster as a whole asks the client to back off, because
+	// cache affinity forbids spilling the spec onto an arbitrary idle
+	// worker. Batch shards do not count against it: each owner's sub-batch
+	// feeds its queue up to the worker's own capacity, and single runs that
+	// then find the queue full are retried and moved as dispatch does for
+	// any 429.
 	MaxPerWorker int
-	// MaxInflight bounds concurrent dispatches per worker (<= 0: 4).
+	// MaxInflight bounds concurrent single-run dispatches per worker
+	// (<= 0: 4). Sub-batches are not dispatched: each is one POST and one
+	// results stream per owner.
 	MaxInflight int
 	// Replicas is the virtual-node count per worker (<= 0: DefaultReplicas).
 	Replicas int
@@ -382,12 +388,18 @@ func (c *Coordinator) ReleaseWaits() { c.surface.Release() }
 // admission stops immediately (Submit returns ErrDraining), outstanding
 // jobs get up to timeout to reach a terminal state on their workers, then
 // the dispatchers are cancelled and whatever remains is reported dropped.
+// Batches drain alongside within the same timeout (see serve.Batches.Drain):
+// each owner is told to stop feeding its sub-batch, the shards it already
+// admitted finish, and any still running at the deadline are dropped, so
+// every batch conserves.
 func (c *Coordinator) Drain(timeout time.Duration) serve.DrainReport {
+	batchesDone := make(chan struct{})
+	go func() {
+		defer close(batchesDone)
+		c.batches.Drain(timeout)
+	}()
 	report := c.jobs.Drain(timeout, c.stop, "dropped: coordinator shut down before the job finished")
-	// Every job is terminal now, so every batch shard waiter settles its
-	// shard's accounting (conservation per batch) and returns; unfed shards
-	// were rejected the moment admission saw ErrDraining.
-	c.batches.Drain(timeout)
+	<-batchesDone
 	return report
 }
 

@@ -178,17 +178,7 @@ func (c *Coordinator) moveJob(j *serve.Job, from *worker, reason string) {
 			Err: fmt.Sprintf("failed after %d dispatch attempts (last: %s)", j.Attempts, reason)})
 		return
 	}
-	var target *worker
-	for _, id := range c.ring.Sequence(j.ID) {
-		if w := c.workers[id]; id != from.id && w.isAlive() {
-			target = w
-			break
-		}
-	}
-	moved := target != nil
-	if target == nil && from.isAlive() {
-		target = from // sole live worker: retry in place
-	}
+	target, moved := c.failoverLocked(j.ID, from)
 	c.mu.Unlock()
 	if target == nil {
 		c.jobs.Finish(j, serve.Outcome{State: serve.StateFailed, Err: "no live workers (last: " + reason + ")"})
@@ -201,6 +191,22 @@ func (c *Coordinator) moveJob(j *serve.Job, from *worker, reason string) {
 	c.assign(j, target)
 	c.logf("cluster: redispatching %s: %s → %s (%s, attempt %d)",
 		shortID(j.ID), from.id, target.id, reason, j.Attempts)
+}
+
+// failoverLocked picks where a key goes after from failed it: the first
+// live worker in the key's ring sequence other than from, or from itself
+// when it is the only live worker (moved is then false). nil means no
+// worker is live.
+func (c *Coordinator) failoverLocked(key string, from *worker) (target *worker, moved bool) {
+	for _, id := range c.ring.Sequence(key) {
+		if w := c.workers[id]; id != from.id && w.isAlive() {
+			return w, true
+		}
+	}
+	if from.isAlive() {
+		return from, false
+	}
+	return nil, false
 }
 
 // finishJob retires a successfully completed job; remoteCached marks one

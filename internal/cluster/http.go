@@ -77,7 +77,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 // job recorded against a worker the coordinator no longer knows, e.g. after
 // a config change); that is a recovery case — resubmitting recomputes the
 // identical bytes — not a panic. Shared by handleStatus and the batch
-// backend's JobResult.
+// backend's ShardResult.
 func (c *Coordinator) fetchResult(ctx context.Context, id, workerID string) (*serve.StatusResponse, error) {
 	c.mu.Lock()
 	worker, ok := c.workers[workerID]

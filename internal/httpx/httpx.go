@@ -192,6 +192,12 @@ func RequestIDFrom(ctx context.Context) string {
 	return id
 }
 
+// WithRequestID returns ctx carrying id as its request ID, for contexts
+// built outside a handler that make calls on a request's behalf.
+func WithRequestID(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, requestIDKey, id)
+}
+
 func newRequestID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -209,7 +215,7 @@ func requestID(next http.Handler) http.Handler {
 			id = newRequestID()
 		}
 		w.Header().Set(RequestIDHeader, id)
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey, id)))
+		next.ServeHTTP(w, r.WithContext(WithRequestID(r.Context(), id)))
 	})
 }
 

@@ -10,34 +10,37 @@ import (
 	"time"
 
 	wrtring "github.com/rtnet/wrtring"
+	"github.com/rtnet/wrtring/internal/httpx"
 	"github.com/rtnet/wrtring/sweep"
 )
 
 // This file is the batch subsystem: server-side expansion of a sweep.Grid
-// into content-addressed shards, admitted through whatever execution engine
-// the server runs on (the single-node queue or the cluster coordinator) and
-// streamed back as each shard completes. The grid expands through the same
-// sweep.Grid.PointAt the local CLIs use, so a batch is provably the same
-// point set, in the same order, as the sweep a client would have built —
-// and because every shard goes through the content-addressed Submit path,
-// resubmitting a grid whose results are cached completes without running a
-// single new simulation.
+// (or an index subset of one) into content-addressed shards, fed to
+// whatever execution engine the server runs on and streamed back as each
+// shard completes. Batches owns what does not depend on the engine: the
+// shard table and its conservation counters, retention, cancel, drain and
+// the result stream. The engine brings only the feeder (BatchBackend): the
+// queue admits one shard at a time into its job table (Queue.Feed below),
+// and cluster.Coordinator sends each hash-ring owner one sub-batch. Every
+// point expands through the same sweep.Grid.PointAt the local CLIs use, so
+// a batch is provably the same point set, in the same order, as the sweep
+// a client would have built — and because every shard is content
+// addressed, resubmitting a grid whose results are cached completes
+// without running a single new simulation.
 
-// BatchBackend is what the batch layer needs from an execution engine:
-// Queue and cluster.Coordinator both implement it (the coordinator's
-// JobResult proxies bytes from the owner worker's cache shard). Admission
-// errors matching ErrQueueFull are backpressure the feeder retries; errors
-// matching ErrDraining end feeding.
+// BatchBackend is the engine half of a batch.
 type BatchBackend interface {
-	// Submit admits one scenario and reports the content-addressed job ID
-	// plus the outcome (SubmitQueued, SubmitCached or SubmitCoalesced).
-	Submit(s wrtring.Scenario) (id, outcome string, err error)
-	// Await blocks until the job is terminal or ctx ends, then reports its
-	// state; ok is false when the ID is entirely unknown (record aged out
-	// and result evicted).
-	Await(ctx context.Context, id string) (JobStatus, bool)
-	// JobResult fetches the encoded result bytes of a done job.
-	JobResult(ctx context.Context, id string) (json.RawMessage, error)
+	// Feed drives every shard of b to a terminal state through b.Retire.
+	// It runs on a goroutine of its own, one per batch, and returns once
+	// nothing it started for b is left running. When b.FeedContext ends
+	// (cancel, drain) it starts no new work and retires the shards it never
+	// handed on; when b.Context ends (a drain deadline: the manager has
+	// dropped every shard still running) it returns promptly.
+	Feed(b *Batch)
+	// ShardResult reads the bytes of a completed shard that the batch does
+	// not hold: id is its job ID, worker the fleet member that ran it (""
+	// on a single node).
+	ShardResult(ctx context.Context, id, worker string) (json.RawMessage, error)
 }
 
 // Batch admission errors.
@@ -67,7 +70,7 @@ const (
 // BatchOptions parameterise a Batches manager.
 type BatchOptions struct {
 	Backend BatchBackend
-	// MaxPoints bounds one grid's expansion (<= 0: DefaultMaxBatchPoints).
+	// MaxPoints bounds one batch's expansion (<= 0: DefaultMaxBatchPoints).
 	MaxPoints int64
 	// Logf receives operational events (nil: log.Printf).
 	Logf func(format string, args ...any)
@@ -77,7 +80,7 @@ type BatchOptions struct {
 // drain. Both daemons own exactly one.
 type Batches struct {
 	opts BatchOptions
-	wg   sync.WaitGroup
+	wg   sync.WaitGroup // one count per running feeder
 
 	mu       sync.Mutex
 	draining bool
@@ -99,14 +102,17 @@ func NewBatches(opts BatchOptions) *Batches {
 }
 
 // batchShard is the per-point record. The scenario itself is never retained:
-// the feeder re-derives it from the grid (PointAt) at submit time and the
-// queue owns it from there.
+// a feeder re-derives it from the grid (PointAt) when it needs it.
 type batchShard struct {
 	name     string
 	jobID    string
 	status   string // "pending" | "queued" | terminal: completed|failed|dropped|rejected
 	cacheHit bool
 	errMsg   string
+	// worker is the fleet member that completed the shard, and result its
+	// bytes while the batch holds them (see ShardOutcome.Result).
+	worker string
+	result json.RawMessage
 }
 
 // Shard status strings (terminal ones appear in BatchResultLine.Status).
@@ -119,27 +125,50 @@ const (
 	ShardRejected  = "rejected"
 )
 
-// Batch is one submitted grid: its shard table, counters and the wake
-// channel streamers block on.
-type Batch struct {
-	id    string
-	grid  sweep.Grid
-	total int64
-	start time.Time
+// ShardOutcome is how a feeder reports a shard's end to Batch.Retire.
+type ShardOutcome struct {
+	// Status is ShardCompleted, ShardFailed, ShardDropped or ShardRejected.
+	Status string
+	Err    string
+	// CacheHit marks a completed shard the engine answered from a cache.
+	CacheHit bool
+	// Result is a completed shard's bytes, when the feeder has them. The
+	// batch holds them until a result stream has written them, or until the
+	// batch has finished with no stream open; later readers get the bytes
+	// through BatchBackend.ShardResult.
+	Result json.RawMessage
+	// Worker names the fleet member that ran the shard ("" on a single
+	// node).
+	Worker string
+}
 
-	ctx    context.Context
-	cancel context.CancelFunc
+// Batch is one submitted grid: its shard table, counters and the wake
+// channel streamers block on. Slot k of the table is grid point Index(k).
+type Batch struct {
+	id      string
+	grid    sweep.Grid
+	indices []int64 // the grid positions the batch runs, ascending; nil: all
+	total   int64
+	start   time.Time
+
+	// feed ends when feeding must stop (cancel, drain); ctx, its parent,
+	// when the drain deadline passes. Both carry the request ID of the
+	// POST that created the batch.
+	ctx, feed         context.Context
+	abort, cancelFeed context.CancelFunc
 
 	mu        sync.Mutex
 	wake      chan struct{}
 	shards    []batchShard
-	doneOrder []int64 // shard indices in terminal order — the stream replay log
+	doneOrder []int // slots in terminal order — the stream replay log
 	elapsed   time.Duration
-	// waiters maps an in-flight job ID to the waiter retiring its shards.
+	readers   int // open result streams
+	// waiters maps an in-flight job ID to the waiter retiring its shards
+	// (the queue's feeder).
 	waiters map[string]*shardWaiter
 
-	admitted  int64 // shards accepted by the backend (queued + coalesced)
-	cacheHits int64 // shards answered from the cache at submit time
+	admitted  int64 // shards accepted by the engine
+	cacheHits int64 // shards answered from a cache
 	coalesced int64 // shards folded onto an identical in-flight job
 	completed int64 // includes cacheHits
 	failed    int64
@@ -151,10 +180,33 @@ type Batch struct {
 // ID returns the batch's identifier.
 func (b *Batch) ID() string { return b.id }
 
-// Create expands (lazily) and admits one grid, starting its feeder. The
-// grid must already be validated (ParseGrid does).
-func (bs *Batches) Create(g sweep.Grid) (*Batch, error) {
-	total := g.Size()
+// Grid returns the batch's grid spec.
+func (b *Batch) Grid() sweep.Grid { return b.grid }
+
+// Len returns the shard count (Expanded).
+func (b *Batch) Len() int { return len(b.shards) }
+
+// Index returns the grid position of shard slot k.
+func (b *Batch) Index(k int) int64 {
+	if b.indices == nil {
+		return int64(k)
+	}
+	return b.indices[k]
+}
+
+// Context ends when a drain deadline abandons the batch; a feeder makes its
+// calls under it. It carries the creating request's ID (httpx).
+func (b *Batch) Context() context.Context { return b.ctx }
+
+// FeedContext ends when feeding must stop: the batch was cancelled or the
+// server is draining.
+func (b *Batch) FeedContext() context.Context { return b.feed }
+
+// Create admits one batch request and starts its feeder. The request must
+// already be validated (ParseBatchRequest does); ctx contributes only its
+// request ID, which the feeder's calls carry.
+func (bs *Batches) Create(ctx context.Context, req BatchRequest) (*Batch, error) {
+	total := req.Expanded()
 	if total > bs.opts.MaxPoints {
 		return nil, fmt.Errorf("%w: %d points > limit %d", ErrBatchTooLarge, total, bs.opts.MaxPoints)
 	}
@@ -169,18 +221,24 @@ func (bs *Batches) Create(g sweep.Grid) (*Batch, error) {
 	}
 	bs.seq++
 	bs.created++
-	ctx, cancel := context.WithCancel(context.Background())
+	// The batch outlives the request that created it; it keeps only the
+	// request's ID.
+	base := context.Background()
+	if id := httpx.RequestIDFrom(ctx); id != "" {
+		base = httpx.WithRequestID(base, id)
+	}
 	b := &Batch{
 		id:      fmt.Sprintf("b-%d", bs.seq),
-		grid:    g,
+		grid:    req.Grid,
+		indices: req.Indices,
 		total:   total,
 		start:   time.Now(),
-		ctx:     ctx,
-		cancel:  cancel,
 		wake:    make(chan struct{}),
 		shards:  make([]batchShard, total),
 		waiters: make(map[string]*shardWaiter),
 	}
+	b.ctx, b.abort = context.WithCancel(base)
+	b.feed, b.cancelFeed = context.WithCancel(b.ctx)
 	for i := range b.shards {
 		b.shards[i].status = shardPending
 	}
@@ -189,8 +247,14 @@ func (bs *Batches) Create(g sweep.Grid) (*Batch, error) {
 	bs.mu.Unlock()
 
 	bs.wg.Add(1)
-	go bs.feed(b)
+	go bs.run(b)
 	return b, nil
+}
+
+// run is a batch's feeder goroutine.
+func (bs *Batches) run(b *Batch) {
+	defer bs.wg.Done()
+	bs.opts.Backend.Feed(b)
 }
 
 // pruneLocked ages finished batches out FIFO down to the retention bound.
@@ -222,10 +286,10 @@ func (bs *Batches) Get(id string) (*Batch, bool) {
 	return b, ok
 }
 
-// Cancel stops a batch's feeder: shards not yet submitted are rejected, and
-// shards already admitted drain to their terminal states (the engine runs
-// them regardless — a coalesced submitter may still want the result). It
-// reports false for an unknown ID.
+// Cancel stops a batch's feeder: shards not yet handed to the engine are
+// rejected, and shards already admitted drain to their terminal states (the
+// engine runs them regardless — a coalesced submitter may still want the
+// result). It reports false for an unknown ID.
 func (bs *Batches) Cancel(id string) bool {
 	b, ok := bs.Get(id)
 	if !ok {
@@ -234,20 +298,24 @@ func (bs *Batches) Cancel(id string) bool {
 	b.mu.Lock()
 	b.cancelled = true
 	b.mu.Unlock()
-	b.cancel()
+	b.cancelFeed()
 	return true
 }
 
-// Drain stops batch creation, cancels every feeder and waits (up to
-// timeout) for the admitted shards to retire. Call it AFTER the execution
-// engine's own Drain: once every job is terminal, every shard waiter
-// returns, preserving the per-batch conservation law
-// expanded = completed + failed + dropped + rejected.
+// Drain stops batch creation, stops every feeder and waits up to timeout
+// for the admitted shards to retire. On a single node call it after the
+// queue's own Drain, which leaves every job terminal. At the deadline every
+// shard still running is dropped and the feeders are abandoned (their
+// Context ends), so the per-batch conservation law
+// expanded = completed + failed + dropped + rejected holds on return. It
+// reports false when the deadline passed.
 func (bs *Batches) Drain(timeout time.Duration) bool {
 	bs.mu.Lock()
 	bs.draining = true
+	batches := make([]*Batch, 0, len(bs.byID))
 	for _, b := range bs.byID {
-		b.cancel()
+		b.cancelFeed()
+		batches = append(batches, b)
 	}
 	bs.mu.Unlock()
 	done := make(chan struct{})
@@ -259,8 +327,12 @@ func (bs *Batches) Drain(timeout time.Duration) bool {
 	case <-done:
 		return true
 	case <-time.After(timeout):
-		return false
 	}
+	for _, b := range batches {
+		b.dropRemaining("dropped: server shut down before the shard finished")
+	}
+	<-done
+	return false
 }
 
 // BatchesStats is a point-in-time snapshot of the manager.
@@ -282,160 +354,83 @@ func (bs *Batches) Stats() BatchesStats {
 	return st
 }
 
-// feed walks the grid in expansion order, admitting one shard at a time.
-// Backpressure (ErrQueueFull) backs off DefaultBatchPoll and retries the same
-// shard — the server-side analogue of the client honouring Retry-After —
-// so a grid larger than the queue capacity feeds at exactly the rate the
-// queue drains. Closed admission (ErrDraining) and cancellation reject the
-// current and all remaining shards, keeping the conservation law intact.
-func (bs *Batches) feed(b *Batch) {
-	defer bs.wg.Done()
-	for i := int64(0); i < b.total; i++ {
-		pt, err := b.grid.PointAt(i)
-		if err != nil { // unreachable on a validated grid; account, don't wedge
-			b.retire(i, ShardRejected, err.Error())
-			continue
-		}
-		b.mu.Lock()
-		b.shards[i].name = pt.Name
-		b.mu.Unlock()
-		if err := bs.feedOne(b, i, pt.Scenario); err != nil {
-			// Feeding is over (drain or cancel): reject this shard and the rest.
-			for k := i; k < b.total; k++ {
-				if k > i {
-					if p, perr := b.grid.PointAt(k); perr == nil {
-						b.mu.Lock()
-						b.shards[k].name = p.Name
-						b.mu.Unlock()
-					}
-				}
-				b.retire(k, ShardRejected, err.Error())
-			}
-			return
-		}
-	}
-}
-
-// feedOne admits one shard, retrying through backpressure. A non-nil return
-// means feeding must stop entirely.
-func (bs *Batches) feedOne(b *Batch, i int64, s wrtring.Scenario) error {
-	for {
-		if b.ctx.Err() != nil {
-			return errors.New("batch cancelled before the shard was submitted")
-		}
-		id, outcome, err := bs.opts.Backend.Submit(s)
-		switch {
-		case err == nil:
-			b.mu.Lock()
-			b.shards[i].jobID = id
-			if outcome == SubmitCached {
-				b.cacheHits++
-				b.retireLocked(i, ShardCompleted, "", true)
-				b.mu.Unlock()
-				return nil
-			}
-			b.admitted++
-			b.shards[i].status = shardQueued
-			if outcome == SubmitCoalesced {
-				b.coalesced++
-				// A point this grid repeats coalesces onto the job an
-				// earlier shard already waits on: it joins that waiter, so
-				// waiters stay bounded by the engine's in-flight jobs.
-				if w, ok := b.waiters[id]; ok {
-					w.shards = append(w.shards, i)
-					b.mu.Unlock()
-					return nil
-				}
-			}
-			w := &shardWaiter{shards: []int64{i}}
-			b.waiters[id] = w
-			b.mu.Unlock()
-			// The feeder holds a wg count, so this Add cannot race Drain's Wait.
-			bs.wg.Add(1)
-			go bs.await(b, id, w)
-			return nil
-		case errors.Is(err, ErrDraining):
-			return err
-		case errors.Is(err, ErrQueueFull):
-			select {
-			case <-b.ctx.Done():
-				return errors.New("batch cancelled before the shard was submitted")
-			case <-time.After(DefaultBatchPoll):
-			}
-		default:
-			// Per-shard failure (e.g. an unencodable scenario): reject just
-			// this shard and keep feeding.
-			b.retire(i, ShardRejected, err.Error())
-			return nil
-		}
-	}
-}
-
-// shardWaiter lists the shards of one batch that wait on one job.
-type shardWaiter struct{ shards []int64 }
-
-// await retires a waiter's shards when their job's terminal signal fires,
-// so tracking costs one wakeup per completion. It outlives cancellation on
-// purpose: admitted work runs regardless, and the status endpoint keeps
-// reporting partial results while it drains. Return is guaranteed because
-// every admitted job reaches a terminal state — the engine's Drain marks
-// survivors dropped — and a job whose record vanished entirely is
-// accounted failed here.
-func (bs *Batches) await(b *Batch, id string, w *shardWaiter) {
-	defer bs.wg.Done()
-	st, ok := bs.opts.Backend.Await(context.Background(), id)
-	status, errMsg := ShardDropped, st.Err
-	switch {
-	case !ok:
-		status, errMsg = ShardFailed, "job record lost (evicted before completion was observed); resubmit the batch"
-	case st.State == StateDone:
-		status = ShardCompleted
-	case st.State == StateFailed:
-		status = ShardFailed
-	}
+// Label records shard k's point name and job ID.
+func (b *Batch) Label(k int, name, jobID string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.waiters[id] == w {
-		delete(b.waiters, id)
-	}
-	for _, i := range w.shards {
-		b.retireLocked(i, status, errMsg, st.Cached)
-	}
+	b.shards[k].name, b.shards[k].jobID = name, jobID
 }
 
-// retire moves one shard to a terminal state and wakes streamers.
-func (b *Batch) retire(i int64, status, errMsg string) {
+// Admit counts shard k as accepted by the engine, once.
+func (b *Batch) Admit(k int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.retireLocked(i, status, errMsg, false)
+	if b.shards[k].status == shardPending {
+		b.shards[k].status = shardQueued
+		b.admitted++
+	}
 }
 
-// retireLocked is retire under b.mu. cacheHit marks a completed shard the
-// engine answered from a cache (at submit, or a coalesced-onto-cached or
-// remote-cache case after admission). The last shard to retire stamps the
-// batch's elapsed time.
-func (b *Batch) retireLocked(i int64, status, errMsg string, cacheHit bool) {
-	if terminalShard(b.shards[i].status) {
+// Retire moves shard k to its terminal state and wakes streamers. The first
+// call wins; later ones for the same shard are ignored.
+func (b *Batch) Retire(k int, o ShardOutcome) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.retireLocked(k, o)
+}
+
+// retireLocked is Retire under b.mu. The last shard to retire stamps the
+// batch's elapsed time and, with no stream open, drops the held bytes.
+func (b *Batch) retireLocked(k int, o ShardOutcome) {
+	sh := &b.shards[k]
+	if terminalShard(sh.status) {
 		return
 	}
-	b.shards[i].status = status
-	b.shards[i].errMsg = errMsg
-	b.shards[i].cacheHit = b.shards[i].cacheHit || cacheHit
-	switch status {
+	sh.status, sh.errMsg, sh.worker = o.Status, o.Err, o.Worker
+	sh.cacheHit = sh.cacheHit || o.CacheHit
+	switch o.Status {
 	case ShardCompleted:
 		b.completed++
+		sh.result = o.Result
+		if o.CacheHit {
+			b.cacheHits++
+		}
 	case ShardFailed:
 		b.failed++
 	case ShardDropped:
 		b.dropped++
-	case ShardRejected:
+	default:
+		sh.status = ShardRejected
 		b.rejected++
 	}
-	b.doneOrder = append(b.doneOrder, i)
+	b.doneOrder = append(b.doneOrder, k)
 	if b.finishedLocked() {
 		b.elapsed = time.Since(b.start)
+		b.releaseLocked()
 	}
 	b.wakeLocked()
+}
+
+// dropRemaining retires every shard still running as dropped and abandons
+// the feeder.
+func (b *Batch) dropRemaining(reason string) {
+	b.mu.Lock()
+	for k := range b.shards {
+		b.retireLocked(k, ShardOutcome{Status: ShardDropped, Err: reason})
+	}
+	b.mu.Unlock()
+	b.abort()
+}
+
+// releaseLocked drops the held result bytes of a finished batch that no
+// stream is reading; readers get them from the engine from then on.
+func (b *Batch) releaseLocked() {
+	if b.readers > 0 || !b.finishedLocked() {
+		return
+	}
+	for k := range b.shards {
+		b.shards[k].result = nil
+	}
 }
 
 func terminalShard(status string) bool {
@@ -493,20 +488,173 @@ func (b *Batch) Status() BatchStatusResponse {
 	return st
 }
 
-// lineAt returns the cursor-th terminal shard as a result line (without the
-// result payload — the streamer fetches that outside the lock). When the
-// cursor is caught up, it returns the wake channel to block on and whether
-// the stream is complete.
-func (b *Batch) lineAt(cursor int) (line BatchResultLine, ok bool, wake <-chan struct{}, finished bool) {
+// shardLine is one terminal shard as a stream writes it, plus the worker
+// that holds its bytes when the batch no longer does.
+type shardLine struct {
+	BatchResultLine
+	worker string
+}
+
+// lineAt returns the cursor-th terminal shard as a result line, handing
+// over the bytes the batch holds for it. When the cursor is caught up, it
+// returns the wake channel to block on and whether the stream is complete.
+func (b *Batch) lineAt(cursor int) (line shardLine, ok bool, wake <-chan struct{}, finished bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if cursor < len(b.doneOrder) {
-		i := b.doneOrder[cursor]
-		sh := b.shards[i]
-		return BatchResultLine{
-			Index: i, Name: sh.name, ID: sh.jobID, Status: sh.status,
-			CacheHit: sh.cacheHit, Error: sh.errMsg,
-		}, true, nil, false
+		k := b.doneOrder[cursor]
+		sh := &b.shards[k]
+		line = shardLine{BatchResultLine{
+			Index: b.Index(k), Name: sh.name, ID: sh.jobID, Status: sh.status,
+			CacheHit: sh.cacheHit, Error: sh.errMsg, Result: sh.result,
+		}, sh.worker}
+		sh.result = nil
+		return line, true, nil, false
 	}
-	return BatchResultLine{}, false, b.wake, b.finishedLocked()
+	return shardLine{}, false, b.wake, b.finishedLocked()
+}
+
+// attach and detach bracket a result stream; the last stream to leave a
+// finished batch drops the bytes it still holds.
+func (b *Batch) attach() {
+	b.mu.Lock()
+	b.readers++
+	b.mu.Unlock()
+}
+
+func (b *Batch) detach() {
+	b.mu.Lock()
+	b.readers--
+	b.releaseLocked()
+	b.mu.Unlock()
+}
+
+// ---------------------------------------------------------- queue feeder
+
+// Feed is the queue's batch feeder: it walks the batch's points in order
+// and admits one shard at a time through Submit. Backpressure
+// (ErrQueueFull) backs off DefaultBatchPoll and retries the same shard —
+// the server-side analogue of a client honouring Retry-After — so a grid
+// larger than the queue feeds at exactly the rate the queue drains. Closed
+// admission (ErrDraining) and a stopped feed reject the current and every
+// remaining shard. Feed returns when every admitted shard has retired.
+func (q *Queue) Feed(b *Batch) {
+	var waiters sync.WaitGroup
+	defer waiters.Wait()
+	for k := range b.shards {
+		pt, err := b.grid.PointAt(b.Index(k))
+		if err != nil { // unreachable on a validated grid; account, don't wedge
+			b.Retire(k, ShardOutcome{Status: ShardRejected, Err: err.Error()})
+			continue
+		}
+		b.Label(k, pt.Name, "")
+		if err := q.feedShard(b, k, pt.Scenario, &waiters); err != nil {
+			// Feeding is over (drain or cancel): reject this shard and the rest.
+			for rest := k; rest < len(b.shards); rest++ {
+				if rest > k {
+					if p, perr := b.grid.PointAt(b.Index(rest)); perr == nil {
+						b.Label(rest, p.Name, "")
+					}
+				}
+				b.Retire(rest, ShardOutcome{Status: ShardRejected, Err: err.Error()})
+			}
+			return
+		}
+	}
+}
+
+// feedShard admits shard k, retrying through backpressure. A non-nil
+// return means feeding must stop entirely.
+func (q *Queue) feedShard(b *Batch, k int, s wrtring.Scenario, waiters *sync.WaitGroup) error {
+	for {
+		if b.feed.Err() != nil {
+			return errors.New("batch cancelled before the shard was submitted")
+		}
+		id, outcome, err := q.Submit(s)
+		switch {
+		case err == nil:
+			b.mu.Lock()
+			b.shards[k].jobID = id
+			if outcome == SubmitCached {
+				b.retireLocked(k, ShardOutcome{Status: ShardCompleted, CacheHit: true})
+				b.mu.Unlock()
+				return nil
+			}
+			b.admitted++
+			b.shards[k].status = shardQueued
+			if outcome == SubmitCoalesced {
+				b.coalesced++
+				// A point this grid repeats coalesces onto the job an
+				// earlier shard already waits on: it joins that waiter, so
+				// waiters stay bounded by the queue's in-flight jobs.
+				if w, ok := b.waiters[id]; ok {
+					w.shards = append(w.shards, k)
+					b.mu.Unlock()
+					return nil
+				}
+			}
+			w := &shardWaiter{shards: []int{k}}
+			b.waiters[id] = w
+			b.mu.Unlock()
+			waiters.Add(1)
+			go func() {
+				defer waiters.Done()
+				q.awaitShards(b, id, w)
+			}()
+			return nil
+		case errors.Is(err, ErrDraining):
+			return err
+		case errors.Is(err, ErrQueueFull):
+			select {
+			case <-b.feed.Done():
+				return errors.New("batch cancelled before the shard was submitted")
+			case <-time.After(DefaultBatchPoll):
+			}
+		default:
+			// Per-shard failure (e.g. an unencodable scenario): reject just
+			// this shard and keep feeding.
+			b.Retire(k, ShardOutcome{Status: ShardRejected, Err: err.Error()})
+			return nil
+		}
+	}
+}
+
+// shardWaiter lists the shards of one batch that wait on one job.
+type shardWaiter struct{ shards []int }
+
+// awaitShards retires a waiter's shards when their job's terminal signal
+// fires, so tracking costs one wakeup per completion. It outlives
+// cancellation on purpose: admitted work runs regardless, and the status
+// endpoint keeps reporting partial results while it drains. Return is
+// guaranteed because every admitted job reaches a terminal state — the
+// queue's Drain marks survivors dropped — and a job whose record vanished
+// entirely is accounted failed here.
+func (q *Queue) awaitShards(b *Batch, id string, w *shardWaiter) {
+	st, ok := q.Await(b.ctx, id)
+	o := ShardOutcome{Status: ShardDropped, Err: st.Err, CacheHit: st.Cached}
+	switch {
+	case !ok:
+		o.Status, o.Err = ShardFailed, "job record lost (evicted before completion was observed); resubmit the batch"
+	case st.State == StateDone:
+		o.Status = ShardCompleted
+	case st.State == StateFailed:
+		o.Status = ShardFailed
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.waiters[id] == w {
+		delete(b.waiters, id)
+	}
+	for _, k := range w.shards {
+		b.retireLocked(k, o)
+	}
+}
+
+// ShardResult reads a done job's bytes from the cache without touching its
+// hit counters.
+func (q *Queue) ShardResult(_ context.Context, id, _ string) (json.RawMessage, error) {
+	if data, ok := q.Result(id); ok {
+		return data, nil
+	}
+	return nil, errors.New("result evicted from cache; resubmit the scenario to recompute")
 }

@@ -372,16 +372,19 @@ func TestBatchValidationAndLimits(t *testing.T) {
 	}
 }
 
-// fullBackend is an engine that never has room: every Submit answers
-// ErrQueueFull, so a batch's feeder keeps retrying its first shard and the
-// batch stays running until it is cancelled.
+// fullBackend is an engine that never has room: its feeder hands no shard
+// on, so the batch stays running until it is cancelled, and then every
+// shard is rejected.
 type fullBackend struct{}
 
-func (fullBackend) Submit(wrtring.Scenario) (string, string, error) { return "", "", ErrQueueFull }
+func (fullBackend) Feed(b *Batch) {
+	<-b.FeedContext().Done()
+	for k := 0; k < b.Len(); k++ {
+		b.Retire(k, ShardOutcome{Status: ShardRejected, Err: "batch cancelled before the shard was submitted"})
+	}
+}
 
-func (fullBackend) Await(context.Context, string) (JobStatus, bool) { return JobStatus{}, false }
-
-func (fullBackend) JobResult(context.Context, string) (json.RawMessage, error) {
+func (fullBackend) ShardResult(context.Context, string, string) (json.RawMessage, error) {
 	return nil, errors.New("fullBackend runs nothing")
 }
 
@@ -422,13 +425,13 @@ func TestBatchRetentionBound(t *testing.T) {
 	grid := sweep.Grid{Base: fastScenario(1), Axes: []sweep.Axis{sweep.AxisSeeds([]uint64{1, 2})}}
 	ids := make([]string, DefaultMaxBatches)
 	for i := range ids {
-		b, err := bs.Create(grid)
+		b, err := bs.Create(context.Background(), BatchRequest{Grid: grid})
 		if err != nil {
 			t.Fatalf("batch %d of %d: %v", i+1, DefaultMaxBatches, err)
 		}
 		ids[i] = b.ID()
 	}
-	if _, err := bs.Create(grid); !errors.Is(err, ErrTooManyBatches) {
+	if _, err := bs.Create(context.Background(), BatchRequest{Grid: grid}); !errors.Is(err, ErrTooManyBatches) {
 		t.Fatalf("Create with %d running batches: err %v, want ErrTooManyBatches", DefaultMaxBatches, err)
 	}
 	body, err := sweep.EncodeGrid(grid)
@@ -458,7 +461,7 @@ func TestBatchRetentionBound(t *testing.T) {
 		}
 	}
 
-	b, err := bs.Create(grid)
+	b, err := bs.Create(context.Background(), BatchRequest{Grid: grid})
 	if err != nil {
 		t.Fatalf("Create with two finished batches retained: %v", err)
 	}
@@ -575,5 +578,86 @@ func TestSubmitScenariosRetryGivesUp(t *testing.T) {
 	}
 	if resp.Runs[0].Status != "rejected" {
 		t.Fatalf("final status %q, want rejected", resp.Runs[0].Status)
+	}
+}
+
+// TestBatchIndexSubset: a batch restricted to an index subset runs only
+// those points, streams each at its full-grid position with the bytes of a
+// local run, and a malformed subset is refused with 400.
+func TestBatchIndexSubset(t *testing.T) {
+	srv := New(Config{Workers: 2, QueueCapacity: 8})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain(time.Minute)
+
+	grid := testGrid()
+	points, err := grid.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	subset := []int64{1, 4, 7}
+	client := NewClient(ts.URL)
+	ctx := context.Background()
+	code, sub, _, err := client.CreateBatch(ctx, BatchRequest{Grid: grid, Indices: subset})
+	if err != nil || code != http.StatusAccepted {
+		t.Fatalf("subset batch: HTTP %d, %v", code, err)
+	}
+	if sub.Expanded != int64(len(subset)) {
+		t.Fatalf("expanded %d, want %d", sub.Expanded, len(subset))
+	}
+	lines := make(map[int64]BatchResultLine)
+	n, err := client.StreamBatchResults(ctx, sub.ID, func(l BatchResultLine) error {
+		lines[l.Index] = l
+		return nil
+	})
+	if err != nil || n != len(subset) {
+		t.Fatalf("stream: %d lines, err %v", n, err)
+	}
+	for _, i := range subset {
+		line, ok := lines[i]
+		if !ok || line.Status != ShardCompleted || line.Name != points[i].Name {
+			t.Fatalf("grid point %d: %+v", i, line)
+		}
+		res, err := wrtring.Run(points[i].Scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(line.Result, want) {
+			t.Fatalf("grid point %d: bytes differ from a local run", i)
+		}
+	}
+	if admitted := srv.Queue().Stats().Admitted; admitted != int64(len(subset)) {
+		t.Fatalf("queue admitted %d jobs for a %d-point subset", admitted, len(subset))
+	}
+
+	body, err := sweep.EncodeGrid(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withIndices := func(indices string) string {
+		return string(body[:len(body)-1]) + `,"indices":` + indices + `}`
+	}
+	for name, indices := range map[string]string{
+		"empty":        `[]`,
+		"duplicate":    `[2,2]`,
+		"unsorted":     `[4,1]`,
+		"out of range": `[8]`,
+		"negative":     `[-1,3]`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/batches", "application/json", strings.NewReader(withIndices(indices)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s subset %s: HTTP %d, want 400", name, indices, resp.StatusCode)
+		}
+	}
+	if created := srv.Batches().Stats().Created; created != 1 {
+		t.Fatalf("%d batches created, want only the valid one", created)
 	}
 }

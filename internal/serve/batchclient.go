@@ -19,33 +19,43 @@ import (
 
 // SubmitBatch POSTs a grid spec and returns the accepted batch handle.
 func (c *Client) SubmitBatch(ctx context.Context, g sweep.Grid) (*BatchSubmitResponse, error) {
-	body, err := sweep.EncodeGrid(g)
+	_, out, _, err := c.CreateBatch(ctx, BatchRequest{Grid: g})
+	return out, err
+}
+
+// CreateBatch POSTs a batch request — a grid, optionally restricted to an
+// index subset — and reports the HTTP status with the accepted handle on
+// 202. Any other answer comes back as an error carrying the server's
+// message, with the status and the response headers (Retry-After on
+// 429/503) still reported; a transport failure reports status 0.
+func (c *Client) CreateBatch(ctx context.Context, br BatchRequest) (int, *BatchSubmitResponse, http.Header, error) {
+	body, err := json.Marshal(br)
 	if err != nil {
-		return nil, fmt.Errorf("serve: encoding grid: %w", err)
+		return 0, nil, nil, fmt.Errorf("serve: encoding batch request: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/batches", bytes.NewReader(body))
+	req, err := c.newRequest(ctx, http.MethodPost, "/v1/batches", body)
 	if err != nil {
-		return nil, err
+		return 0, nil, nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
-		return nil, err
+		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		return nil, fmt.Errorf("serve: submit batch: HTTP %d: %s", resp.StatusCode, readError(resp.Body))
+		return resp.StatusCode, nil, resp.Header,
+			fmt.Errorf("serve: submit batch: HTTP %d: %s", resp.StatusCode, readError(resp.Body))
 	}
 	var out BatchSubmitResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("serve: decoding batch response: %w", err)
+		return resp.StatusCode, nil, resp.Header, fmt.Errorf("serve: decoding batch response: %w", err)
 	}
-	return &out, nil
+	return resp.StatusCode, &out, resp.Header, nil
 }
 
 // BatchStatus GETs one batch's status and shard accounting.
 func (c *Client) BatchStatus(ctx context.Context, id string) (*BatchStatusResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/batches/"+id, nil)
+	req, err := c.newRequest(ctx, http.MethodGet, "/v1/batches/"+id, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +76,7 @@ func (c *Client) BatchStatus(ctx context.Context, id string) (*BatchStatusRespon
 
 // CancelBatch DELETEs a batch: feeding stops, admitted shards drain.
 func (c *Client) CancelBatch(ctx context.Context, id string) (*BatchStatusResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.BaseURL+"/v1/batches/"+id, nil)
+	req, err := c.newRequest(ctx, http.MethodDelete, "/v1/batches/"+id, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +103,7 @@ const maxResultLine = 16 << 20
 // per line until the stream ends (batch finished), fn returns an error, or
 // ctx is cancelled. It returns the number of lines delivered.
 func (c *Client) StreamBatchResults(ctx context.Context, id string, fn func(BatchResultLine) error) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/batches/"+id+"/results", nil)
+	req, err := c.newRequest(ctx, http.MethodGet, "/v1/batches/"+id+"/results", nil)
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,15 +16,74 @@ import (
 
 // This file is the /v1/batches HTTP surface, mounted identically by both
 // daemons (MountBatchAPI), the same way HandleBatchSubmit unifies
-// POST /v1/runs. The request body of POST /v1/batches is a sweep.Grid spec
-// verbatim; results stream back as NDJSON (or SSE when the client asks via
-// Accept) through an httpx stream route, which is exempt from the
-// per-request API deadline — a batch legitimately outlives -http-timeout.
+// POST /v1/runs. The request body of POST /v1/batches is a sweep.Grid spec,
+// optionally restricted to an index subset (BatchRequest); results stream
+// back as NDJSON (or SSE when the client asks via Accept) through an httpx
+// stream route, which is exempt from the per-request API deadline — a batch
+// legitimately outlives -http-timeout.
+
+// BatchRequest is the POST /v1/batches body: a sweep.Grid spec, and
+// optionally the grid positions to run. A body without indices is a bare
+// grid and runs every point. The coordinator sends each ring owner the
+// whole grid plus the indices of the points that owner holds.
+type BatchRequest struct {
+	sweep.Grid
+	// Indices restricts the batch to these grid positions: ascending,
+	// unique, each below Grid.Size(), and at least one when present.
+	Indices []int64 `json:"indices,omitempty"`
+}
+
+// Validate checks the grid and the index subset.
+func (r BatchRequest) Validate() error {
+	if err := r.Grid.Validate(); err != nil {
+		return err
+	}
+	if r.Indices == nil {
+		return nil
+	}
+	if len(r.Indices) == 0 {
+		return errors.New("serve: indices is empty (omit it to run the whole grid)")
+	}
+	size := r.Grid.Size()
+	for i, idx := range r.Indices {
+		switch {
+		case idx < 0 || idx >= size:
+			return fmt.Errorf("serve: index %d is outside the grid's %d points", idx, size)
+		case i > 0 && idx <= r.Indices[i-1]:
+			return fmt.Errorf("serve: indices must ascend without repeats (%d after %d)", idx, r.Indices[i-1])
+		}
+	}
+	return nil
+}
+
+// Expanded returns the number of points the request runs.
+func (r BatchRequest) Expanded() int64 {
+	if r.Indices != nil {
+		return int64(len(r.Indices))
+	}
+	return r.Grid.Size()
+}
+
+// ParseBatchRequest decodes a POST /v1/batches body, rejecting unknown
+// fields (like sweep.ParseGrid), and validates it.
+func ParseBatchRequest(data []byte) (BatchRequest, error) {
+	var r BatchRequest
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
+		return BatchRequest{}, fmt.Errorf("serve: parsing batch request: %w", err)
+	}
+	if err := r.Validate(); err != nil {
+		return BatchRequest{}, err
+	}
+	return r, nil
+}
 
 // BatchSubmitResponse is the POST /v1/batches body.
 type BatchSubmitResponse struct {
 	ID string `json:"id"`
-	// Expanded is the grid's point count (Grid.Size()).
+	// Expanded is the batch's point count: Grid.Size(), or the size of its
+	// index subset.
 	Expanded int64 `json:"expanded"`
 }
 
@@ -36,9 +96,14 @@ type BatchStatusResponse struct {
 	// Status is running | done | cancelled.
 	Status   string `json:"status"`
 	Expanded int64  `json:"expanded"`
-	// Admitted counts shards accepted by the execution engine (queued or
-	// coalesced); CacheHits counts shards answered from the result cache at
-	// submit time, which never became jobs at all.
+	// Admitted counts shards accepted by the execution engine: on a single
+	// node, jobs queued or coalesced in its table; on the coordinator,
+	// shards an owner accepted in a sub-batch, each counted once whichever
+	// owner ran it. CacheHits counts completed shards answered from a
+	// result cache: at submit on a single node, where they never become
+	// jobs; by the owner on the coordinator, where they are also admitted.
+	// Coalesced counts shards folded onto an identical in-flight job; it is
+	// 0 on the coordinator, whose owners' own batches count their folds.
 	Admitted  int64 `json:"admitted"`
 	CacheHits int64 `json:"cacheHits"`
 	Coalesced int64 `json:"coalesced,omitempty"`
@@ -57,7 +122,7 @@ type BatchResultLine struct {
 	Index int64  `json:"index"`
 	Name  string `json:"name"`
 	// ID is the shard's content-addressed job ID (absent when the shard was
-	// rejected before submission).
+	// rejected before the engine keyed it).
 	ID string `json:"id,omitempty"`
 	// Status is completed | failed | dropped | rejected.
 	Status   string `json:"status"`
@@ -70,7 +135,7 @@ type BatchResultLine struct {
 
 // MountBatchAPI registers the batch endpoints on an httpx surface:
 //
-//	POST   /v1/batches              submit a grid spec (the body is the sweep.Grid JSON)
+//	POST   /v1/batches              submit a grid spec (BatchRequest: sweep.Grid JSON, optional indices)
 //	GET    /v1/batches/{id}         batch status and shard accounting
 //	GET    /v1/batches/{id}/results stream results as NDJSON (SSE via Accept)
 //	DELETE /v1/batches/{id}         cancel: stop feeding, drain admitted shards
@@ -101,15 +166,15 @@ func (api *batchAPI) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpx.Error(w, r, status, fmt.Sprintf("reading request: %v", err))
 		return
 	}
-	g, err := sweep.ParseGrid(body)
+	req, err := ParseBatchRequest(body)
 	if err != nil {
 		httpx.Error(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	b, err := api.batches.Create(g)
+	b, err := api.batches.Create(r.Context(), req)
 	switch {
 	case err == nil:
-		httpx.WriteJSON(w, http.StatusAccepted, BatchSubmitResponse{ID: b.ID(), Expanded: g.Size()})
+		httpx.WriteJSON(w, http.StatusAccepted, BatchSubmitResponse{ID: b.ID(), Expanded: req.Expanded()})
 	case errors.Is(err, ErrBatchTooLarge):
 		httpx.Error(w, r, http.StatusRequestEntityTooLarge, err.Error())
 	case errors.Is(err, ErrTooManyBatches):
@@ -146,9 +211,10 @@ func (api *batchAPI) handleCancel(w http.ResponseWriter, r *http.Request) {
 // flushing per line, and replays from the start for every new reader (the
 // doneOrder log is the stream). The connection stays open until every shard
 // is terminal, the client goes away or the daemon releases its waits at
-// shutdown (a client reconnects and replays); result payloads are fetched lazily
-// from the backend per line, so a replay after cache eviction degrades to a
-// per-line error instead of a broken stream.
+// shutdown (a client reconnects and replays). A line carries the bytes the
+// batch holds for its shard; otherwise they are read from the engine per
+// line, so a replay after cache eviction degrades to a per-line error
+// instead of a broken stream.
 func (api *batchAPI) handleResults(w http.ResponseWriter, r *http.Request) {
 	b, ok := api.batches.Get(r.PathValue("id"))
 	if !ok {
@@ -165,9 +231,11 @@ func (api *batchAPI) handleResults(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
+	b.attach()
+	defer b.detach()
 	cursor := 0
 	for {
-		line, ok, wake, finished := b.lineAt(cursor)
+		sl, ok, wake, finished := b.lineAt(cursor)
 		if !ok {
 			if finished {
 				return
@@ -182,8 +250,9 @@ func (api *batchAPI) handleResults(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		cursor++
-		if line.Status == ShardCompleted {
-			res, err := api.batches.opts.Backend.JobResult(r.Context(), line.ID)
+		line := sl.BatchResultLine
+		if line.Status == ShardCompleted && line.Result == nil {
+			res, err := api.batches.opts.Backend.ShardResult(r.Context(), line.ID, sl.worker)
 			if err != nil {
 				line.Error = err.Error()
 			} else {

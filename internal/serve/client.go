@@ -12,6 +12,7 @@ import (
 	"time"
 
 	wrtring "github.com/rtnet/wrtring"
+	"github.com/rtnet/wrtring/internal/httpx"
 )
 
 // Client speaks the /v1/runs HTTP/JSON API. Both servers implement the same
@@ -34,6 +35,28 @@ func NewClient(baseURL string) *Client {
 	}
 }
 
+// newRequest builds a request to path under BaseURL. A JSON body sets
+// Content-Type, and the request ID ctx carries (httpx.RequestIDFrom) is
+// forwarded, so one ID joins the access logs of every process a call
+// crosses.
+func (c *Client) newRequest(ctx context.Context, method, path string, body []byte) (*http.Request, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if id := httpx.RequestIDFrom(ctx); id != "" {
+		req.Header.Set(httpx.RequestIDHeader, id)
+	}
+	return req, nil
+}
+
 // Submit POSTs a batch of raw scenario specs and returns the HTTP status
 // plus the decoded per-item outcomes. A non-2xx status with a decodable
 // body (400 invalid items, 429 backpressure) is returned without error so
@@ -51,11 +74,10 @@ func (c *Client) submit(ctx context.Context, scenarios []json.RawMessage) (int, 
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("serve: encoding submit request: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/runs", bytes.NewReader(body))
+	req, err := c.newRequest(ctx, http.MethodPost, "/v1/runs", body)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return 0, nil, nil, err
@@ -84,18 +106,18 @@ func (c *Client) SubmitScenarios(ctx context.Context, scenarios []wrtring.Scenar
 // Status GETs one run's status. 404 (unknown or evicted ID) is reported via
 // the status code, not err.
 func (c *Client) Status(ctx context.Context, id string) (int, *StatusResponse, error) {
-	return c.getStatus(ctx, c.BaseURL+"/v1/runs/"+id)
+	return c.getStatus(ctx, "/v1/runs/"+id)
 }
 
 // StatusWait is Status held on the server (GET /v1/runs/{id}?wait=) until
 // the run is terminal or wait passes; the server clamps wait to half its
 // request timeout. A non-terminal answer means the wait ran out first.
 func (c *Client) StatusWait(ctx context.Context, id string, wait time.Duration) (int, *StatusResponse, error) {
-	return c.getStatus(ctx, c.BaseURL+"/v1/runs/"+id+"?wait="+wait.String())
+	return c.getStatus(ctx, "/v1/runs/"+id+"?wait="+wait.String())
 }
 
-func (c *Client) getStatus(ctx context.Context, url string) (int, *StatusResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+func (c *Client) getStatus(ctx context.Context, path string) (int, *StatusResponse, error) {
+	req, err := c.newRequest(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -154,7 +176,7 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (*Stat
 
 // Healthz probes liveness; nil means the server answered 200.
 func (c *Client) Healthz(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
+	req, err := c.newRequest(ctx, http.MethodGet, "/healthz", nil)
 	if err != nil {
 		return err
 	}
@@ -172,7 +194,7 @@ func (c *Client) Healthz(ctx context.Context) error {
 
 // Stats GETs the queue/cache counter snapshot.
 func (c *Client) Stats(ctx context.Context) (*ServiceStats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/stats", nil)
+	req, err := c.newRequest(ctx, http.MethodGet, "/v1/stats", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +216,7 @@ func (c *Client) Stats(ctx context.Context) (*ServiceStats, error) {
 // StoreIndex GETs the server's store key index (content address + payload
 // size per entry) — the input to shard-handoff planning.
 func (c *Client) StoreIndex(ctx context.Context) (*StoreIndexResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/store", nil)
+	req, err := c.newRequest(ctx, http.MethodGet, "/v1/store", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +238,7 @@ func (c *Client) StoreIndex(ctx context.Context) (*StoreIndexResponse, error) {
 // StoreGet fetches one stored result's raw bytes from the server's shard.
 // A 404 (key not held there) is an error, like any other non-200.
 func (c *Client) StoreGet(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/store/"+id, nil)
+	req, err := c.newRequest(ctx, http.MethodGet, "/v1/store/"+id, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -245,11 +267,10 @@ func (c *Client) StorePull(ctx context.Context, pullReq StorePullRequest) (int, 
 	if err != nil {
 		return 0, fmt.Errorf("serve: encoding pull request: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/store/pull", bytes.NewReader(body))
+	req, err := c.newRequest(ctx, http.MethodPost, "/v1/store/pull", body)
 	if err != nil {
 		return 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return 0, err

@@ -51,3 +51,39 @@ func FuzzSubmitRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBatchRequest fuzzes the POST /v1/batches body decoder: a grid spec
+// plus an optional index subset, outside input on a public endpoint.
+// Arbitrary bytes must never panic. An accepted request has at least one
+// point, its subset is non-empty, ascending, unique and inside the grid, and
+// decode → encode → decode is a fixpoint. Seeds live in
+// testdata/fuzz/FuzzBatchRequest.
+func FuzzBatchRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := ParseBatchRequest(data)
+		if err != nil {
+			return
+		}
+		size := req.Grid.Size()
+		if size < 1 || req.Expanded() < 1 {
+			t.Fatalf("accepted a request of %d points (grid %d)", req.Expanded(), size)
+		}
+		for i, idx := range req.Indices {
+			if idx < 0 || idx >= size || (i > 0 && idx <= req.Indices[i-1]) {
+				t.Fatalf("accepted subset %v of a %d-point grid", req.Indices, size)
+			}
+		}
+		enc, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("accepted request does not encode: %v", err)
+		}
+		again, err := ParseBatchRequest(enc)
+		if err != nil {
+			t.Fatalf("re-encoded request rejected: %v\n%s", err, enc)
+		}
+		enc2, err := json.Marshal(again)
+		if err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("decode/encode is not a fixpoint (err %v):\n%s\n%s", err, enc, enc2)
+		}
+	})
+}

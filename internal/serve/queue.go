@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -252,14 +251,6 @@ func (q *Queue) cachedStatus(id string) (JobStatus, bool) {
 // cache, where completed jobs store their bytes).
 func (q *Queue) Result(id string) ([]byte, bool) {
 	return q.cache.Peek(id)
-}
-
-// JobResult is Result for the batch layer.
-func (q *Queue) JobResult(_ context.Context, id string) (json.RawMessage, error) {
-	if data, ok := q.Result(id); ok {
-		return data, nil
-	}
-	return nil, errors.New("result evicted from cache; resubmit the scenario to recompute")
 }
 
 // Stats snapshots the queue counters.

@@ -191,7 +191,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		ElapsedMs: st.Elapsed.Milliseconds(), Error: st.Err,
 	}
 	if st.State == StateDone {
-		if data, err := s.queue.JobResult(r.Context(), id); err == nil {
+		if data, err := s.queue.ShardResult(r.Context(), id, ""); err == nil {
 			resp.Result = data
 		} else {
 			// The job finished but its bytes were evicted under cache

@@ -4,11 +4,14 @@
 # process on a localhost port — and drive it with wrtsweep and curl:
 #   1. every remote pass of a G-point grid prints exactly the in-process CSV;
 #   2. after two passes the fleet has admitted G simulations and the
-#      coordinator has created 2 batches: the second pass is fully cached;
+#      coordinator has created 2 batches: the second pass is fully cached.
+#      Each pass costs one sub-batch per owner, so w1 and w2 have created
+#      4 batches between them;
 #   3. POST /v1/runs plus a held GET /v1/runs/{id}?wait= answers done with a
 #      result, and posting the scenario again answers cached;
 #   4. after every process is killed and restarted on the same -store-dirs,
-#      a pass admits 0 and the workers serve G results from disk;
+#      a pass admits 0, the workers serve G results from disk, and they
+#      have created 2 batches between them;
 #   5. a third worker w3 joins over POST /v1/workers, the rebalancer plans
 #      keys for it, w3 pulls all of them, and a pass still admits 0;
 #   6. wrtstore verify passes on all three shards; w1 + w2 hold G + 1
@@ -81,6 +84,10 @@ metric() { # url name
   curl -sf "$1/metrics" | awk -v m="$2" '$1 == m {print $2}'
 }
 
+worker_batches() { # sub-batches w1 and w2 have created
+  echo $(($(metric "$W1" wrtserved_batches_created_total) + $(metric "$W2" wrtserved_batches_created_total)))
+}
+
 grid() {
   "$BIN/wrtsweep" -over seed -values "$(seq -s, 1 150)" -protocols both -dur 2000 "$@"
 }
@@ -99,6 +106,7 @@ remote_pass "cold pass"
 remote_pass "warm pass"
 expect "fleet admissions after two passes" "$(metric "$COORD" wrtcoord_fleet_admitted_total)" "$G"
 expect "batches created" "$(metric "$COORD" wrtcoord_batches_created_total)" 2
+expect "owner sub-batches after two passes" "$(worker_batches)" 4
 
 # ---- 3: the single-run API -------------------------------------------------
 
@@ -126,6 +134,7 @@ remote_pass "pass after restart"
 expect "fleet admissions after restart" "$(metric "$COORD" wrtcoord_fleet_admitted_total)" 0
 disk_hits=$(($(metric "$W1" wrtserved_store_hits_total) + $(metric "$W2" wrtserved_store_hits_total)))
 expect "store hits after restart" "$disk_hits" "$G"
+expect "owner sub-batches after restart" "$(worker_batches)" 2
 echo "fleet-smoke: restarted fleet served $G results from disk, 0 new simulations"
 
 # ---- 5: w3 joins and is handed its key range -------------------------------

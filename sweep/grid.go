@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	wrtring "github.com/rtnet/wrtring"
 )
@@ -163,15 +164,22 @@ type Grid struct {
 	Axes []Axis           `json:"axes"`
 }
 
-// Validate checks every axis and requires at least one.
+// Validate checks every axis, requires at least one, and refuses a grid
+// whose point count does not fit in an int64.
 func (g Grid) Validate() error {
 	if len(g.Axes) == 0 {
 		return fmt.Errorf("sweep: grid has no axes")
 	}
+	total := int64(1)
 	for i, a := range g.Axes {
 		if err := a.Validate(); err != nil {
 			return fmt.Errorf("sweep: axis %d: %w", i, err)
 		}
+		n := int64(a.size())
+		if total > math.MaxInt64/n {
+			return fmt.Errorf("sweep: grid expands past %d points", int64(math.MaxInt64))
+		}
+		total *= n
 	}
 	return nil
 }
