@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -28,7 +29,13 @@ import (
 // dropped or rejected — go to the next live worker in each key's ring
 // sequence, one sub-batch per target, within the same per-shard attempt
 // budget (attemptsPerWorker × fleet size). Determinism keeps the bytes
-// identical wherever a shard runs.
+// identical wherever a shard runs. A stream has no timeout; it also ends
+// when the prober ejects its owner, so an owner that hangs with its
+// connection open is failed over like one that broke it.
+//
+// Each completed key is remembered with the worker that holds it
+// (doneKeys), so a later single run of the key is answered cached without
+// a dispatch, as it would be from a done job record.
 
 // pendingShard is a shard a sub-batch left unfinished, with the terminal
 // state it takes if it is not re-sent.
@@ -160,7 +167,7 @@ func (f *batchFeed) reroute(r subResult) {
 // It returns the shards that need another owner. All calls run under the
 // batch's Context, which carries the creating request's ID and ends only at
 // a drain deadline; a cancel reaches the owner as a DELETE, and the stream
-// is read on until the owner's sub-batch finishes.
+// is read on until the owner's sub-batch finishes or the owner is ejected.
 func (f *batchFeed) run(w *worker, slots []int) subResult {
 	b, c := f.b, f.c
 	ctx := b.Context()
@@ -212,14 +219,17 @@ func (f *batchFeed) run(w *worker, slots []int) subResult {
 		}
 	}
 	for _, k := range slots {
-		b.Admit(k)
+		b.Admit(k, false)
 	}
+	sctx, endStream := context.WithCancel(ctx)
+	defer endStream()
+	defer context.AfterFunc(w.liveness(), endStream)()
 	cancelled := make(chan struct{})
 	stop := context.AfterFunc(b.FeedContext(), func() {
 		defer close(cancelled)
 		// A DELETE that fails leaves the owner feeding; the stream below
 		// still ends with its sub-batch, and the lines are final then.
-		_, _ = w.client.CancelBatch(ctx, sub.ID)
+		_, _ = w.client.CancelBatch(sctx, sub.ID)
 	})
 	defer func() {
 		if !stop() {
@@ -228,7 +238,7 @@ func (f *batchFeed) run(w *worker, slots []int) subResult {
 	}()
 
 	var retry []pendingShard
-	_, err := w.client.StreamBatchResults(ctx, sub.ID, func(l serve.BatchResultLine) error {
+	_, err := w.client.StreamBatchResults(sctx, sub.ID, func(l serve.BatchResultLine) error {
 		k, ok := slotOf[l.Index]
 		if !ok {
 			return fmt.Errorf("line for index %d, which the sub-batch does not hold or already answered", l.Index)
@@ -238,6 +248,11 @@ func (f *batchFeed) run(w *worker, slots []int) subResult {
 		case serve.ShardCompleted, serve.ShardFailed:
 			if l.CacheHit {
 				c.remoteCacheHits.Add(1)
+			}
+			if l.Status == serve.ShardCompleted {
+				c.mu.Lock()
+				c.batchDone.add(f.keys[k], w.id)
+				c.mu.Unlock()
 			}
 			b.Retire(k, serve.ShardOutcome{Status: l.Status, Err: l.Error, CacheHit: l.CacheHit,
 				Result: l.Result, Worker: w.id})
@@ -254,7 +269,10 @@ func (f *batchFeed) run(w *worker, slots []int) subResult {
 	}
 	reason := "owner dropped or rejected shards"
 	if err != nil || len(slotOf) > 0 {
-		if err == nil {
+		switch {
+		case sctx.Err() != nil:
+			err = errors.New("owner ejected while its sub-batch ran")
+		case err == nil:
 			err = fmt.Errorf("stream ended with %d of %d shards unanswered", len(slotOf), len(slots))
 		}
 		c.ejectWorker(w, "batch stream broken: %v", err)
@@ -264,6 +282,31 @@ func (f *batchFeed) run(w *worker, slots []int) subResult {
 		}
 	}
 	return subResult{from: w, retry: retry, reason: reason}
+}
+
+// doneKeys maps each key the coordinator's batches completed to the worker
+// holding its result, for the newest serve.DefaultFinishedRecords keys.
+// The zero value is empty; the coordinator's mu guards it.
+type doneKeys struct {
+	owner map[string]string
+	fifo  []string // the keys of owner, oldest at next once full
+	next  int
+}
+
+func (d *doneKeys) add(key, worker string) {
+	if _, ok := d.owner[key]; !ok {
+		if d.owner == nil {
+			d.owner = make(map[string]string)
+		}
+		if len(d.fifo) < serve.DefaultFinishedRecords {
+			d.fifo = append(d.fifo, key)
+		} else {
+			delete(d.owner, d.fifo[d.next])
+			d.fifo[d.next] = key
+			d.next = (d.next + 1) % len(d.fifo)
+		}
+	}
+	d.owner[key] = worker
 }
 
 // ShardResult reads a completed shard's bytes from the worker that ran it,

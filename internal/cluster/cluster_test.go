@@ -50,12 +50,23 @@ func newFleet(t *testing.T, n int, cfg Config) *fleet {
 // newFleetWith is newFleet with the workers' own configuration.
 func newFleetWith(t *testing.T, n int, wcfg serve.Config, cfg Config) *fleet {
 	t.Helper()
+	return newFleetWrapped(t, n, wcfg, cfg, nil)
+}
+
+// newFleetWrapped is newFleetWith with worker i's HTTP handler passed
+// through wrap(i, handler) when wrap is not nil.
+func newFleetWrapped(t *testing.T, n int, wcfg serve.Config, cfg Config, wrap func(int, http.Handler) http.Handler) *fleet {
+	t.Helper()
 	f := &fleet{t: t}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("w%d", i+1)
 		wcfg.WorkerID = id
 		srv := serve.New(wcfg)
-		ts := httptest.NewServer(srv.Handler())
+		h := srv.Handler()
+		if wrap != nil {
+			h = wrap(i, h)
+		}
+		ts := httptest.NewServer(h)
 		f.workers = append(f.workers, srv)
 		f.servers = append(f.servers, ts)
 		cfg.Workers = append(cfg.Workers, WorkerSpec{ID: id, URL: ts.URL})

@@ -33,9 +33,8 @@ type Config struct {
 	// means the cluster as a whole asks the client to back off, because
 	// cache affinity forbids spilling the spec onto an arbitrary idle
 	// worker. Batch shards do not count against it: each owner's sub-batch
-	// feeds its queue up to the worker's own capacity, and single runs that
-	// then find the queue full are retried and moved as dispatch does for
-	// any 429.
+	// feeds its queue up to seven eighths of the worker's own capacity,
+	// and the rest stays free for single runs.
 	MaxPerWorker int
 	// MaxInflight bounds concurrent single-run dispatches per worker
 	// (<= 0: 4). Sub-batches are not dispatched: each is one POST and one
@@ -129,11 +128,15 @@ type Coordinator struct {
 
 	redispatched, remoteCacheHits atomic.Int64
 
-	// mu guards the fleet. It is taken before the table's lock.
+	// mu guards the fleet and batchDone. It is taken before the table's
+	// lock.
 	mu      sync.Mutex
 	ring    *Ring
 	workers map[string]*worker
 	order   []*worker // admission order, for stable metrics/iteration
+	// batchDone holds the keys the coordinator's batches completed, which
+	// never enter the job table (batch.go).
+	batchDone doneKeys
 }
 
 // ClusterStats is a point-in-time snapshot of the coordinator counters.
@@ -307,7 +310,8 @@ func (c *Coordinator) Batches() *serve.Batches { return c.batches }
 
 // Submit admits one scenario: it is routed to its hash-ring owner, coalesced
 // onto an identical in-flight job, or answered from coordinator memory when
-// already done. The returned outcome strings match serve's.
+// already done — as a job, or as a batch shard on a worker still live. The
+// returned outcome strings match serve's.
 func (c *Coordinator) Submit(s wrtring.Scenario) (id, outcome string, err error) {
 	id, err = serve.Key(s)
 	if err != nil {
@@ -317,9 +321,10 @@ func (c *Coordinator) Submit(s wrtring.Scenario) (id, outcome string, err error)
 	defer c.mu.Unlock()
 	var owner *worker
 	outcome, j, err := c.jobs.Submit(id, s, func(done bool, _ int) (string, string, error) {
-		if done {
-			// The job completed on its owner, whose cache shard holds the
-			// bytes; GET /v1/runs/{id} proxies them from there.
+		if done || c.batchDoneLocked(id) {
+			// The job or batch shard completed on a worker whose cache
+			// shard holds the bytes; GET /v1/runs/{id} proxies them from
+			// there.
 			return serve.SubmitCached, "", nil
 		}
 		var ok bool
@@ -335,6 +340,13 @@ func (c *Coordinator) Submit(s wrtring.Scenario) (id, outcome string, err error)
 		c.assign(j, owner)
 	}
 	return id, outcome, err
+}
+
+// batchDoneLocked reports whether one of the coordinator's batches
+// completed key on a worker that is live.
+func (c *Coordinator) batchDoneLocked(key string) bool {
+	w := c.workers[c.batchDone.owner[key]]
+	return w != nil && w.isAlive()
 }
 
 // ownerLocked resolves a key's live hash-ring owner.

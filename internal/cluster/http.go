@@ -34,6 +34,16 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := c.jobs.Status(id)
+	if !ok || (st.State.Terminal() && st.State != serve.StateDone) {
+		// A key a batch completed has no job record, or a failed or dropped
+		// one: the batch's result stands.
+		c.mu.Lock()
+		worker, held := c.batchDone.owner[id]
+		c.mu.Unlock()
+		if held {
+			st, ok = serve.JobStatus{ID: id, State: serve.StateDone, Cached: true, Worker: worker}, true
+		}
+	}
 	if ok && !st.State.Terminal() && r.URL.RawQuery != "" {
 		// A held read: answer once the job is terminal, or with its state
 		// when the wait runs out first.

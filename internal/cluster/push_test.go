@@ -57,7 +57,9 @@ func (rc *requestCounter) take() (submits, held, proxied int) {
 
 // countedCluster is a coordinator over one worker whose requests are
 // counted. PollInterval is an hour: a dispatcher that ever paused to ask
-// again would stall the test instead of passing it.
+// again would stall the test instead of passing it. RequestTimeout makes
+// each held read wait 15 s, so that even under -race on a loaded host a
+// slowScenario run ends inside one.
 type countedCluster struct {
 	coord   *Coordinator
 	worker  *serve.Server
@@ -78,7 +80,7 @@ func newCountedCluster(t *testing.T) *countedCluster {
 		Workers:        []WorkerSpec{{ID: "w1", URL: ts.URL}},
 		PollInterval:   time.Hour,
 		HealthInterval: time.Hour,
-		RequestTimeout: 10 * time.Second,
+		RequestTimeout: 30 * time.Second,
 		Logf:           t.Logf,
 	})
 	if err != nil {

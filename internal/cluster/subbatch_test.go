@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -373,5 +374,188 @@ func TestClusterBatchOneSubBatchPerOwner(t *testing.T) {
 		if ran := f.workerAdmitted() - ranBefore; ran != tc.runs {
 			t.Fatalf("%s: the fleet ran %d simulations, want %d", tc.name, ran, tc.runs)
 		}
+	}
+}
+
+// TestClusterBatchHungOwner: an owner that accepts its sub-batch and then
+// answers nothing more, with its connections left open, is ejected by the
+// health prober, and that ends its sub-batch stream. Its shards finish on
+// the other worker byte for byte, and the batch conserves with nothing
+// failed.
+func TestClusterBatchHungOwner(t *testing.T) {
+	var victim atomic.Int32
+	var hung atomic.Bool
+	victim.Store(-1)
+	release := make(chan struct{})
+	wrap := func(i int, next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if int32(i) == victim.Load() {
+				if hung.Load() {
+					select {
+					case <-release:
+					case <-r.Context().Done():
+					}
+					return
+				}
+				if r.Method == http.MethodPost && r.URL.Path == "/v1/batches" {
+					defer hung.Store(true)
+				}
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
+	f := newFleetWrapped(t, 2, serve.Config{Workers: 2, QueueCapacity: 64},
+		Config{RequestTimeout: time.Second}, wrap)
+	t.Cleanup(func() { close(release) }) // runs before the fleet's cleanup
+
+	grid := sweep.Grid{Base: fastScenario(1), Axes: []sweep.Axis{sweep.AxisSeeds([]uint64{1, 2, 3, 4, 5, 6, 7, 8})}}
+	points, err := grid.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := map[string]int{}
+	for _, p := range points {
+		held[ownerOf(t, f, p.Scenario)]++
+	}
+	if held["w2"] > held["w1"] {
+		victim.Store(1)
+	} else {
+		victim.Store(0)
+	}
+	local := sweep.Run(points, 2)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	sub, err := f.client.SubmitBatch(ctx, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := make(map[int64]serve.BatchResultLine)
+	if _, err := f.client.StreamBatchResults(ctx, sub.ID, func(l serve.BatchResultLine) error {
+		lines[l.Index] = l
+		return nil
+	}); err != nil {
+		t.Fatalf("stream of a batch with a hung owner: %v (%d of %d lines)", err, len(lines), len(points))
+	}
+	if !hung.Load() {
+		t.Fatal("the victim never accepted its sub-batch")
+	}
+	for i, o := range local {
+		want, err := json.Marshal(o.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l := lines[int64(i)]; l.Status != serve.ShardCompleted || !bytes.Equal(l.Result, want) {
+			t.Fatalf("shard %d: %s %q; bytes equal to the local run: %v", i, l.Status, l.Error, bytes.Equal(l.Result, want))
+		}
+	}
+	st := waitClusterBatch(t, f.client, sub.ID, "done")
+	if !conserves(*st) || st.Failed != 0 || st.Completed != st.Expanded {
+		t.Fatalf("after the hang: %+v", st)
+	}
+	if cs := f.coord.Stats(); cs.Redispatched == 0 || cs.LiveWorkers != 1 {
+		t.Fatalf("the hung owner was not ejected and failed over: %+v", cs)
+	}
+}
+
+// TestClusterSingleRunDuringSubBatch: an owner's sub-batch larger than its
+// queue leaves the queue's headroom free, so a single run of another key
+// the same worker owns is admitted there on its first submit and completes
+// on its owner, rather than being refused (429), retried and moved off its
+// ring owner. Three single runs go one after another, each while the queue
+// holds all the shards the sub-batch may put there.
+func TestClusterSingleRunDuringSubBatch(t *testing.T) {
+	f := newFleetWith(t, 2, serve.Config{Workers: 1, QueueCapacity: 8},
+		Config{RetryAfter: time.Millisecond, HealthInterval: time.Second})
+	shard := func(seed uint64) wrtring.Scenario {
+		s := fastScenario(seed)
+		s.Duration = 20_000
+		return s
+	}
+	var seeds []uint64
+	for seed := uint64(1); len(seeds) < 32; seed++ {
+		if ownerOf(t, f, shard(seed)) == "w1" {
+			seeds = append(seeds, seed)
+		}
+	}
+	ctx := context.Background()
+	sub, err := f.client.SubmitBatch(ctx, sweep.Grid{Base: shard(1), Axes: []sweep.Axis{sweep.AxisSeeds(seeds)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The queue is full once the sub-batch has refilled it after its first
+	// shard started: 7 queued of 8, and at least 9 shards admitted.
+	w1 := f.workers[0]
+	full := func() bool {
+		b, ok := w1.Batches().Get("b-1")
+		return ok && b.Status().Admitted >= 9 && w1.Queue().Stats().Depth >= 7
+	}
+	for seed, runs := uint64(1), 0; runs < 3; seed++ {
+		single := fastScenario(seed)
+		if ownerOf(t, f, single) != "w1" {
+			continue
+		}
+		runs++
+		for deadline := time.Now().Add(30 * time.Second); !full(); {
+			if time.Now().After(deadline) {
+				t.Fatalf("w1's queue never filled: %+v", w1.Queue().Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		ids := f.submitAll(t, []wrtring.Scenario{single})
+		st := f.waitAll(t, ids)[0]
+		if st.Status != serve.StateDone.String() || string(st.Result) != localBytes(t, single) {
+			t.Fatalf("single run %d during the sub-batch: %s %q", runs, st.Status, st.Error)
+		}
+		if js, _ := f.coord.jobs.Status(ids[0]); js.Worker != "w1" || f.coord.Stats().Redispatched != 0 {
+			t.Fatalf("single run %d ended on %s after %d moves, want its owner w1", runs, js.Worker, f.coord.Stats().Redispatched)
+		}
+		for _, e := range debugLog(t, f.servers[0].URL) {
+			if e.Method == http.MethodPost && e.Path == "/v1/runs" && e.Status == http.StatusTooManyRequests {
+				t.Fatalf("w1 refused a single run with 429 while its sub-batch ran (run %d)", runs)
+			}
+		}
+	}
+	if _, err := f.client.CancelBatch(ctx, sub.ID); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClusterBatchKeysAnswerCached: once a coordinator batch has completed
+// a key, a single run of it is answered cached by the coordinator without
+// a dispatch, and its status carries the bytes from the worker that ran
+// it, although batch shards never enter the coordinator's job table.
+func TestClusterBatchKeysAnswerCached(t *testing.T) {
+	f := newFleet(t, 2, Config{})
+	grid := sweep.Grid{Base: fastScenario(1), Axes: []sweep.Axis{sweep.AxisSeeds([]uint64{1, 2, 3, 4, 5, 6, 7, 8})}}
+	points, err := grid.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sub, err := f.client.SubmitBatch(ctx, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.client.StreamBatchResults(ctx, sub.ID, func(serve.BatchResultLine) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	ran := f.workerAdmitted()
+	for _, p := range points {
+		code, resp, err := f.client.SubmitScenarios(ctx, []wrtring.Scenario{p.Scenario})
+		if err != nil || code != http.StatusOK || resp.Runs[0].Status != serve.SubmitCached {
+			t.Fatalf("%s after its batch: HTTP %d, %+v, %v; want cached", p.Name, code, resp, err)
+		}
+		code, st, err := f.client.Status(ctx, resp.Runs[0].ID)
+		if err != nil || code != http.StatusOK || st.Status != serve.StateDone.String() ||
+			string(st.Result) != localBytes(t, p.Scenario) {
+			t.Fatalf("%s status: HTTP %d, %+v, %v", p.Name, code, st, err)
+		}
+	}
+	if got := f.workerAdmitted() - ran; got != 0 {
+		t.Fatalf("single runs of batch keys admitted %d jobs on the workers, want 0", got)
+	}
+	if js := f.coord.jobs.Stats(); js.Admitted != 0 {
+		t.Fatalf("the coordinator's job table admitted %d jobs, want 0", js.Admitted)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -33,10 +34,15 @@ type worker struct {
 	alive atomic.Bool
 
 	// Health-probe state, owned by the prober (healthMu also covers the
-	// logging decision so eject/readmit events log exactly once).
+	// logging decision so eject/readmit events log exactly once, and the
+	// liveness context).
 	healthMu    sync.Mutex
 	failures    int
 	nextProbeAt time.Time
+	// life ends when the worker is ejected; nil until a sub-batch stream
+	// asks for it (liveness), and again after each ejection.
+	life    context.Context
+	endLife context.CancelFunc
 }
 
 // newWorker builds the handle. Each worker gets its own transport whose idle
@@ -88,8 +94,30 @@ func (w *worker) markDead(base time.Duration) bool {
 	if flipped {
 		w.failures = 1
 		w.nextProbeAt = time.Now().Add(base)
+		if w.endLife != nil {
+			w.endLife()
+			w.life, w.endLife = nil, nil
+		}
 	}
 	return flipped
+}
+
+// liveness returns a context that ends when the worker is ejected, at once
+// if it is dead already. A sub-batch stream reads under it: the stream has
+// no timeout, so an owner that hangs but keeps its connection holds its
+// batch only until the prober ejects it.
+func (w *worker) liveness() context.Context {
+	w.healthMu.Lock()
+	defer w.healthMu.Unlock()
+	if !w.isAlive() {
+		ended, end := context.WithCancel(context.Background())
+		end()
+		return ended
+	}
+	if w.life == nil {
+		w.life, w.endLife = context.WithCancel(context.Background())
+	}
+	return w.life
 }
 
 // probeDue reports whether the backoff window for an ejected worker has

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	wrtring "github.com/rtnet/wrtring"
 	"github.com/rtnet/wrtring/internal/httpx"
 	"github.com/rtnet/wrtring/sweep"
 )
@@ -65,6 +64,12 @@ const (
 	// turned away with ErrQueueFull. Shard completion is not polled: each
 	// admitted shard waits on its job's terminal signal.
 	DefaultBatchPoll = 10 * time.Millisecond
+	// batchHeadroom keeps part of a queue free of batch shards: the queue's
+	// feeder admits a shard only while fewer than capacity −
+	// capacity/batchHeadroom jobs wait (224 of the default 256), so a
+	// single run sent during a sweep is admitted at once rather than
+	// meeting a queue the feeder keeps full.
+	batchHeadroom = 8
 )
 
 // BatchOptions parameterise a Batches manager.
@@ -163,9 +168,6 @@ type Batch struct {
 	doneOrder []int // slots in terminal order — the stream replay log
 	elapsed   time.Duration
 	readers   int // open result streams
-	// waiters maps an in-flight job ID to the waiter retiring its shards
-	// (the queue's feeder).
-	waiters map[string]*shardWaiter
 
 	admitted  int64 // shards accepted by the engine
 	cacheHits int64 // shards answered from a cache
@@ -235,7 +237,6 @@ func (bs *Batches) Create(ctx context.Context, req BatchRequest) (*Batch, error)
 		start:   time.Now(),
 		wake:    make(chan struct{}),
 		shards:  make([]batchShard, total),
-		waiters: make(map[string]*shardWaiter),
 	}
 	b.ctx, b.abort = context.WithCancel(base)
 	b.feed, b.cancelFeed = context.WithCancel(b.ctx)
@@ -361,13 +362,17 @@ func (b *Batch) Label(k int, name, jobID string) {
 	b.shards[k].name, b.shards[k].jobID = name, jobID
 }
 
-// Admit counts shard k as accepted by the engine, once.
-func (b *Batch) Admit(k int) {
+// Admit counts shard k as accepted by the engine, once; coalesced marks a
+// shard folded onto an identical in-flight job.
+func (b *Batch) Admit(k int, coalesced bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.shards[k].status == shardPending {
 		b.shards[k].status = shardQueued
 		b.admitted++
+		if coalesced {
+			b.coalesced++
+		}
 	}
 }
 
@@ -532,27 +537,28 @@ func (b *Batch) detach() {
 // ---------------------------------------------------------- queue feeder
 
 // Feed is the queue's batch feeder: it walks the batch's points in order
-// and admits one shard at a time through Submit. Backpressure
-// (ErrQueueFull) backs off DefaultBatchPoll and retries the same shard —
-// the server-side analogue of a client honouring Retry-After — so a grid
-// larger than the queue feeds at exactly the rate the queue drains. Closed
-// admission (ErrDraining) and a stopped feed reject the current and every
-// remaining shard. Feed returns when every admitted shard has retired.
+// and admits one shard at a time, leaving the queue's headroom
+// (batchHeadroom) to single runs. Backpressure (ErrQueueFull) backs off
+// DefaultBatchPoll and retries the same shard — the server-side analogue
+// of a client honouring Retry-After — so a grid larger than the queue
+// feeds at exactly the rate the queue drains. Closed admission
+// (ErrDraining) and a stopped feed reject the current and every remaining
+// shard. Feed returns when every admitted shard has retired.
 func (q *Queue) Feed(b *Batch) {
-	var waiters sync.WaitGroup
-	defer waiters.Wait()
-	for k := range b.shards {
-		pt, err := b.grid.PointAt(b.Index(k))
+	ws := &shardWaiters{byJob: make(map[string]*shardWaiter)}
+	defer ws.wg.Wait()
+	for k := 0; k < b.Len(); k++ {
+		pt, err := b.Grid().PointAt(b.Index(k))
 		if err != nil { // unreachable on a validated grid; account, don't wedge
 			b.Retire(k, ShardOutcome{Status: ShardRejected, Err: err.Error()})
 			continue
 		}
 		b.Label(k, pt.Name, "")
-		if err := q.feedShard(b, k, pt.Scenario, &waiters); err != nil {
+		if err := q.feedShard(b, k, pt, ws); err != nil {
 			// Feeding is over (drain or cancel): reject this shard and the rest.
-			for rest := k; rest < len(b.shards); rest++ {
+			for rest := k; rest < b.Len(); rest++ {
 				if rest > k {
-					if p, perr := b.grid.PointAt(b.Index(rest)); perr == nil {
+					if p, perr := b.Grid().PointAt(b.Index(rest)); perr == nil {
 						b.Label(rest, p.Name, "")
 					}
 				}
@@ -565,48 +571,28 @@ func (q *Queue) Feed(b *Batch) {
 
 // feedShard admits shard k, retrying through backpressure. A non-nil
 // return means feeding must stop entirely.
-func (q *Queue) feedShard(b *Batch, k int, s wrtring.Scenario, waiters *sync.WaitGroup) error {
+func (q *Queue) feedShard(b *Batch, k int, pt sweep.Point, ws *shardWaiters) error {
+	limit := q.capacity - q.capacity/batchHeadroom
 	for {
-		if b.feed.Err() != nil {
+		if b.FeedContext().Err() != nil {
 			return errors.New("batch cancelled before the shard was submitted")
 		}
-		id, outcome, err := q.Submit(s)
+		id, outcome, err := q.submit(pt.Scenario, limit)
 		switch {
 		case err == nil:
-			b.mu.Lock()
-			b.shards[k].jobID = id
+			b.Label(k, pt.Name, id)
 			if outcome == SubmitCached {
-				b.retireLocked(k, ShardOutcome{Status: ShardCompleted, CacheHit: true})
-				b.mu.Unlock()
+				b.Retire(k, ShardOutcome{Status: ShardCompleted, CacheHit: true})
 				return nil
 			}
-			b.admitted++
-			b.shards[k].status = shardQueued
-			if outcome == SubmitCoalesced {
-				b.coalesced++
-				// A point this grid repeats coalesces onto the job an
-				// earlier shard already waits on: it joins that waiter, so
-				// waiters stay bounded by the queue's in-flight jobs.
-				if w, ok := b.waiters[id]; ok {
-					w.shards = append(w.shards, k)
-					b.mu.Unlock()
-					return nil
-				}
-			}
-			w := &shardWaiter{shards: []int{k}}
-			b.waiters[id] = w
-			b.mu.Unlock()
-			waiters.Add(1)
-			go func() {
-				defer waiters.Done()
-				q.awaitShards(b, id, w)
-			}()
+			b.Admit(k, outcome == SubmitCoalesced)
+			q.awaitShard(b, ws, id, k, outcome == SubmitCoalesced)
 			return nil
 		case errors.Is(err, ErrDraining):
 			return err
 		case errors.Is(err, ErrQueueFull):
 			select {
-			case <-b.feed.Done():
+			case <-b.FeedContext().Done():
 				return errors.New("batch cancelled before the shard was submitted")
 			case <-time.After(DefaultBatchPoll):
 			}
@@ -619,8 +605,36 @@ func (q *Queue) feedShard(b *Batch, k int, s wrtring.Scenario, waiters *sync.Wai
 	}
 }
 
+// shardWaiters maps each in-flight job one batch waits on to the waiter
+// retiring its shards. A point the grid repeats coalesces onto the job an
+// earlier shard already waits on and joins that waiter, so waiters stay
+// bounded by the queue's in-flight jobs.
+type shardWaiters struct {
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	byJob map[string]*shardWaiter
+}
+
 // shardWaiter lists the shards of one batch that wait on one job.
 type shardWaiter struct{ shards []int }
+
+// awaitShard has shard k, admitted as job id, retired when the job ends.
+func (q *Queue) awaitShard(b *Batch, ws *shardWaiters, id string, k int, coalesced bool) {
+	ws.mu.Lock()
+	if w, ok := ws.byJob[id]; ok && coalesced {
+		w.shards = append(w.shards, k)
+		ws.mu.Unlock()
+		return
+	}
+	w := &shardWaiter{shards: []int{k}}
+	ws.byJob[id] = w
+	ws.mu.Unlock()
+	ws.wg.Add(1)
+	go func() {
+		defer ws.wg.Done()
+		q.awaitShards(b, ws, id, w)
+	}()
+}
 
 // awaitShards retires a waiter's shards when their job's terminal signal
 // fires, so tracking costs one wakeup per completion. It outlives
@@ -629,8 +643,8 @@ type shardWaiter struct{ shards []int }
 // guaranteed because every admitted job reaches a terminal state — the
 // queue's Drain marks survivors dropped — and a job whose record vanished
 // entirely is accounted failed here.
-func (q *Queue) awaitShards(b *Batch, id string, w *shardWaiter) {
-	st, ok := q.Await(b.ctx, id)
+func (q *Queue) awaitShards(b *Batch, ws *shardWaiters, id string, w *shardWaiter) {
+	st, ok := q.Await(b.Context(), id)
 	o := ShardOutcome{Status: ShardDropped, Err: st.Err, CacheHit: st.Cached}
 	switch {
 	case !ok:
@@ -640,13 +654,14 @@ func (q *Queue) awaitShards(b *Batch, id string, w *shardWaiter) {
 	case st.State == StateFailed:
 		o.Status = ShardFailed
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.waiters[id] == w {
-		delete(b.waiters, id)
+	ws.mu.Lock()
+	if ws.byJob[id] == w {
+		delete(ws.byJob, id)
 	}
-	for _, k := range w.shards {
-		b.retireLocked(k, o)
+	shards := w.shards
+	ws.mu.Unlock()
+	for _, k := range shards {
+		b.Retire(k, o)
 	}
 }
 

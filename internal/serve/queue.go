@@ -191,6 +191,12 @@ func NewQueue(cache *Cache, capacity, workers int) *Queue {
 // ErrQueueFull and ErrDraining reject the submission; the returned ID is
 // still valid for retries.
 func (q *Queue) Submit(s wrtring.Scenario) (id, outcome string, err error) {
+	return q.submit(s, q.capacity)
+}
+
+// submit is Submit with the queue depth at which admission stops: the
+// capacity for single runs, less for a batch's shards (batchHeadroom).
+func (q *Queue) submit(s wrtring.Scenario, limit int) (id, outcome string, err error) {
 	id, err = Key(s)
 	if err != nil {
 		return "", "", err
@@ -211,7 +217,7 @@ func (q *Queue) Submit(s wrtring.Scenario) (id, outcome string, err error) {
 		if _, ok := q.cache.GetIfPresent(id); ok {
 			return SubmitCached, "", nil
 		}
-		if depth >= q.capacity {
+		if depth >= limit {
 			return "", "", ErrQueueFull
 		}
 		return SubmitQueued, "", nil

@@ -257,6 +257,9 @@ func TestBatchRepeatedPointSharesOneWaiter(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueCapacity: 4})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	// A failed check must not leave the endless job running for the tests
+	// after this one.
+	defer srv.Drain(10 * time.Millisecond)
 
 	client := NewClient(ts.URL)
 	sub, err := client.SubmitBatch(context.Background(), sweep.Grid{
@@ -279,21 +282,23 @@ func TestBatchRepeatedPointSharesOneWaiter(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// A waiter is registered under the batch lock before its goroutine
-	// starts, so the table counts the goroutines the feeder started.
-	b, _ := srv.Batches().Get(sub.ID)
-	b.mu.Lock()
-	waiters, waiting := len(b.waiters), 0
-	for _, w := range b.waiters {
-		waiting += len(w.shards)
+	// Each waiter is one goroutine started on awaitShard's closure (its
+	// frame is there before the goroutine first runs, and below awaitShards
+	// once it does), and every admitted shard that has not retired is held
+	// by one of them.
+	buf := make([]byte, 1<<20)
+	waiters := strings.Count(string(buf[:runtime.Stack(buf, true)]), "serve.(*Queue).awaitShard.func1(")
+	st, err := client.BatchStatus(context.Background(), sub.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.mu.Unlock()
+	waiting := st.Admitted - st.Completed - st.Failed - st.Dropped
 	if waiters != 1 || waiting != 8 {
 		t.Fatalf("%d waiters holding %d shards for one in-flight job, want 1 holding 8", waiters, waiting)
 	}
 	// Aborting the one job retires all eight shards through that waiter.
 	srv.Drain(10 * time.Millisecond)
-	st, err := client.BatchStatus(context.Background(), sub.ID)
+	st, err = client.BatchStatus(context.Background(), sub.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
