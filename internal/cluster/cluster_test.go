@@ -90,12 +90,14 @@ func newFleetWrapped(t *testing.T, n int, wcfg serve.Config, cfg Config, wrap fu
 	f.coord = coord
 	f.front = httptest.NewServer(coord.Handler())
 	f.client = serve.NewClient(f.front.URL)
+	// Once the test is over nothing reads the fleet's remaining work, so
+	// the drains cut it short instead of letting it simulate to the end.
 	t.Cleanup(func() {
-		f.coord.Drain(time.Minute)
+		f.coord.Drain(10 * time.Millisecond)
 		f.front.Close()
 		for i, srv := range f.workers {
 			f.servers[i].Close()
-			srv.Drain(time.Minute)
+			srv.Drain(10 * time.Millisecond)
 		}
 	})
 	return f
