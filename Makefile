@@ -36,8 +36,9 @@ bench-smoke:
 fleet-smoke:
 	scripts/fleet-smoke.sh
 
-# fuzz runs each JSON-decoder fuzz target for FUZZTIME (go requires one
-# -fuzz pattern per invocation). New inputs that trip a failure are written
+# fuzz runs each decoder fuzz target (the JSON decoders and the store's
+# segment scanner) for FUZZTIME (go requires one -fuzz pattern per
+# invocation). New inputs that trip a failure are written
 # to testdata/fuzz/ — commit the minimised case as a regression seed.
 FUZZTIME ?= 30s
 fuzz:
@@ -46,6 +47,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzFaultSpec$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmitRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzStoreOpen$$' -fuzztime=$(FUZZTIME) ./internal/store
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -67,8 +69,9 @@ bench-check:
 bench-grid:
 	$(GO) test -run='^$$' -bench=BenchmarkGridThroughput -benchmem -count=3 ./internal/runner
 
-# bench-trajectory appends the tracked hot-path benchmarks (RunForN64,
-# KernelScheduleAndFire) as the next point in the committed perf trajectory
+# bench-trajectory appends the tracked benchmarks (RunForN64,
+# KernelScheduleAndFire, GridThroughput, the store's Put/Get/Open) as the
+# next point in the committed perf trajectory
 # (benchmarks/bench_results.csv) and emits a BENCH_<n>.json snapshot.
 # See benchmarks/README.md "Perf trajectory".
 bench-trajectory:

@@ -8,7 +8,7 @@
 //	wrtserved -addr :8080 -store-dir /var/lib/wrtring/store   # durable cache
 //
 // With -store-dir the RAM cache gains a durable tier: every result is also
-// written to a content-addressed on-disk store (atomic rename, checksummed),
+// appended to a content-addressed on-disk store (segment files, checksummed),
 // the shard is re-indexed on boot so a restarted worker serves its whole
 // cache history without re-simulating, and the /v1/store endpoints let
 // cluster peers pull keys during ring rebalancing (see cmd/wrtstore for
@@ -46,8 +46,8 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", serve.DefaultCacheEntries, "max cached results")
 	cacheBytes := flag.Int64("cache-bytes", 0, "max cached result bytes (0 = entries bound only)")
 	storeDir := flag.String("store-dir", "", "durable result-store directory; results are written through and warm-start on boot (empty = RAM cache only)")
-	storeMaxBytes := flag.Int64("store-max-bytes", 0, "max bytes on disk in -store-dir before LRU eviction (0 = unbounded)")
-	storeNoSync := flag.Bool("store-no-sync", false, "skip fsync on store writes (faster; a crash may quarantine the last results)")
+	storeMaxBytes := flag.Int64("store-max-bytes", 0, "max bytes on disk in -store-dir before the oldest segments are dropped (0 = unbounded)")
+	storeNoSync := flag.Bool("store-no-sync", false, "skip fsync on store writes (faster; a power loss may lose the last results)")
 	handoffRate := flag.Int("handoff-rate", serve.DefaultHandoffRate, "max keys per second pulled from peers during shard handoff")
 	maxBatch := flag.Int("max-batch", 256, "max scenarios per submission")
 	maxBatchPoints := flag.Int64("max-batch-points", serve.DefaultMaxBatchPoints, "max points one /v1/batches grid may expand to")

@@ -1,19 +1,24 @@
 // Command wrtstore inspects and maintains a wrtserved durable result store
 // (-store-dir) offline — the operator's view of the shard a daemon serves.
 //
-//	wrtstore ls     -dir /var/lib/wrtring/store           # keys, sizes, access times
+//	wrtstore ls     -dir /var/lib/wrtring/store           # keys, sizes, segment write times
 //	wrtstore stat   -dir /var/lib/wrtring/store           # entry/byte/quarantine totals
 //	wrtstore verify -dir /var/lib/wrtring/store           # full-shard checksum fsck
 //	wrtstore gc     -dir /var/lib/wrtring/store -max-bytes 1073741824
 //
-// verify re-reads every entry and checks its footer (payload length and
-// SHA-256); with -quarantine the corrupt files are moved aside exactly as
-// the daemon would on read. It exits 1 when corruption is found, so it works
-// as a cron health check. gc applies the same LRU-by-access policy the
-// daemon uses for -store-max-bytes, but on demand.
+// A store is a few append-only segment files (seg-<n>) of framed records.
+// verify re-reads every indexed record and checks its header, key and
+// payload SHA-256; with -quarantine the corrupt records are copied to the
+// quarantine directory and kept out of later indexes, exactly as the daemon
+// does on read. It exits 1 when corruption is found, so it works as a cron
+// health check. gc drops whole segments, oldest first, the same policy the
+// daemon applies for -store-max-bytes, but on demand; ls -by-age lists the
+// entries in that order.
 //
-// Run it against a live daemon's directory only for ls/stat/verify without
-// -quarantine; gc and -quarantine move files the daemon may be serving.
+// Opening a store never writes a segment (a torn tail is left for the
+// daemon's next write to cut), so ls, stat and verify without -quarantine
+// are safe against a live daemon's directory; gc and -quarantine change what
+// the daemon may be serving.
 package main
 
 import (
@@ -29,10 +34,10 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage: wrtstore <command> -dir <store-dir> [flags]
 
 commands:
-  ls       list stored results (key, payload bytes, last access)
+  ls       list stored results (key, payload bytes, segment write time)
   stat     shard totals: entries, bytes, quarantined files
-  verify   checksum every entry; exit 1 on corruption (-quarantine to move bad files aside)
-  gc       evict least-recently-used entries down to -max-bytes
+  verify   checksum every entry; exit 1 on corruption (-quarantine to set bad records aside)
+  gc       drop segments, oldest first, down to -max-bytes
 
 `)
 	os.Exit(2)
@@ -65,12 +70,17 @@ func main() {
 	case "ls":
 		fs := flag.NewFlagSet("ls", flag.ExitOnError)
 		dir := fs.String("dir", "", "store directory")
-		byAge := fs.Bool("by-age", false, "sort by last access (eviction order) instead of key")
+		byAge := fs.Bool("by-age", false, "list in eviction order (oldest segment first) instead of by key")
 		fs.Parse(args)
 		st := openStore(fs, *dir)
 		idx := st.Index()
 		if *byAge {
-			sort.Slice(idx, func(a, b int) bool { return idx[a].ModTime.Before(idx[b].ModTime) })
+			sort.Slice(idx, func(a, b int) bool {
+				if idx[a].Segment != idx[b].Segment {
+					return idx[a].Segment < idx[b].Segment
+				}
+				return idx[a].Offset < idx[b].Offset
+			})
 		}
 		for _, k := range idx {
 			fmt.Printf("%s\t%d\t%s\n", k.Key, k.Size, k.ModTime.Format("2006-01-02T15:04:05Z07:00"))
@@ -90,12 +100,12 @@ func main() {
 	case "verify":
 		fs := flag.NewFlagSet("verify", flag.ExitOnError)
 		dir := fs.String("dir", "", "store directory")
-		quarantine := fs.Bool("quarantine", false, "move corrupt entries to the quarantine directory")
+		quarantine := fs.Bool("quarantine", false, "copy corrupt records to the quarantine directory and stop serving them")
 		fs.Parse(args)
 		st := openStore(fs, *dir)
-		// Open itself quarantines structurally broken files (bad footer,
-		// leftover temp files); VerifyAll re-reads the survivors and checks
-		// the payload hash — the full fsck.
+		// Open itself quarantines records whose headers fail, and anything
+		// damaged in the active segment; VerifyAll re-reads the survivors
+		// and checks each payload hash — the full fsck.
 		preQuarantined := st.QuarantineCount()
 		total := st.Len()
 		bad := st.VerifyAll(*quarantine)
@@ -107,7 +117,7 @@ func main() {
 			for _, key := range bad {
 				fmt.Fprintf(os.Stderr, "corrupt: %s\n", key)
 			}
-			action := "left in place (re-run with -quarantine to move them aside)"
+			action := "left in place (re-run with -quarantine to set them aside)"
 			if *quarantine {
 				action = "quarantined"
 			}
@@ -119,7 +129,7 @@ func main() {
 	case "gc":
 		fs := flag.NewFlagSet("gc", flag.ExitOnError)
 		dir := fs.String("dir", "", "store directory")
-		maxBytes := fs.Int64("max-bytes", 0, "evict least-recently-used entries until the shard fits this many bytes")
+		maxBytes := fs.Int64("max-bytes", 0, "drop segments, oldest first, until the shard fits this many bytes")
 		fs.Parse(args)
 		if *maxBytes <= 0 {
 			fmt.Fprintln(os.Stderr, "wrtstore gc: -max-bytes must be > 0")

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # bench-trajectory.sh — append the tracked benchmarks' best-of numbers
 # (per-slot hot path: RunForN64, KernelScheduleAndFire; whole-grid rate:
-# GridThroughput) as one sequence point to the committed perf trajectory
+# GridThroughput; durable store: StorePut, StoreGet, StoreOpen) as one
+# sequence point to the committed perf trajectory
 # (benchmarks/bench_results.csv) and emit a machine-readable snapshot
 # BENCH_<seq>.json, both under benchmarks/ (for CI artifact upload) and at
 # the repo root (the published trajectory point for this PR).
@@ -47,6 +48,8 @@ go test -run '^$' -bench 'BenchmarkKernelScheduleAndFire' -benchmem \
 	"${timeflag[@]}" -count "$count" ./internal/sim | tee -a "$raw"
 go test -run '^$' -bench 'BenchmarkGridThroughput' -benchmem \
 	"${timeflag[@]}" -count "$count" ./internal/runner | tee -a "$raw"
+go test -run '^$' -bench 'BenchmarkStore' -benchmem \
+	"${timeflag[@]}" -count "$count" ./internal/store | tee -a "$raw"
 
 if [ ! -f "$csv" ]; then
 	echo "seq,label,date,commit,benchmark,ns_per_op,slots_per_sec,bytes_per_op,allocs_per_op,allocs_per_run" > "$csv"

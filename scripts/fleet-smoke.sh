@@ -14,8 +14,9 @@
 #      have created 2 batches between them;
 #   5. a third worker w3 joins over POST /v1/workers, the rebalancer plans
 #      keys for it, w3 pulls all of them, and a pass still admits 0;
-#   6. wrtstore verify passes on all three shards; w1 + w2 hold G + 1
-#      results (the grid and the single run) and w3 the planned keys.
+#   6. wrtstore verify passes on all three shards, none has a quarantined
+#      record or a fanout directory; w1 + w2 hold G + 1 results (the grid
+#      and the single run) and w3 the planned keys.
 # G = 300 is more scenarios than one POST /v1/runs may carry (256).
 # Used by `make fleet-smoke` and CI.
 set -euo pipefail
@@ -161,7 +162,13 @@ echo "fleet-smoke: w3 joined and pulled $pulled/$planned planned keys, 0 new sim
 stop_fleet
 entries() { # id
   "$BIN/wrtstore" verify -dir "$STORES/$1" >/dev/null || fail "wrtstore verify failed on $1"
-  "$BIN/wrtstore" stat -dir "$STORES/$1" | awk '/^entries:/ {print $2}'
+  stat=$("$BIN/wrtstore" stat -dir "$STORES/$1")
+  # The kill/restart pass may leave at most a torn tail, which is cut, not
+  # quarantined; results live in segment files, not fanout directories.
+  expect "$1 quarantined" "$(printf '%s\n' "$stat" | awk '/^quarantined:/ {print $2}')" 0
+  fanout=$(find "$STORES/$1" -mindepth 1 -maxdepth 1 -type d ! -name quarantine | wc -l)
+  expect "$1 fanout directories" "$fanout" 0
+  printf '%s\n' "$stat" | awk '/^entries:/ {print $2}'
 }
 w1=$(entries w1)
 w2=$(entries w2)
